@@ -32,7 +32,8 @@ degrade:
 	$(GO) test -race -count=1 -run 'Degrad' ./internal/soc/ ./internal/stream/ .
 
 ## obs: the observability suite under the race detector — metrics registry
-## concurrency, run-report/Result equivalence, stream Chrome traces and the
+## concurrency, run-report/Result equivalence, span-sourced stream Chrome
+## traces (discarded clipping, interrupt instants, the CLI golden) and the
 ## scheduler/executor accounting regression tests.
 obs:
 	$(GO) test -race -count=1 -run Obs ./internal/obs/ ./internal/pipeline/ ./internal/stream/ ./internal/trace/ ./cmd/h2pipe/ ./cmd/benchjson/ .
@@ -40,7 +41,7 @@ obs:
 ## serve-test: the live-observability suite under the race detector — the
 ## HTTP server e2e (healthz/readyz/metrics/windows/SSE/pprof/spans), the
 ## span tracer and ring, the window feed, and the span→Chrome-trace
-## equivalence tests.
+## goldens and overwritten-ring checks.
 serve-test:
 	$(GO) test -race -count=1 -run 'TestServeObs|TestSpan|TestAttr|TestWriteOTLP|TestFeed' \
 		./internal/obs/ ./internal/stream/ ./internal/trace/ .

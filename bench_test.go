@@ -88,17 +88,6 @@ func BenchmarkPartitionDP(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitionFastDP(b *testing.B) {
-	_, profs := benchProfiles(b, model.BERT)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.PartitionFast(profs[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPlannerEndToEnd(b *testing.B) {
 	s, profs := benchProfiles(b, model.YOLOv4, model.SqueezeNet, model.BERT, model.ResNet50)
 	pl, err := core.NewPlanner(s, core.DefaultOptions())

@@ -485,7 +485,6 @@ func runStream(ctx context.Context, planner *core.Planner, models []*model.Model
 	cfg.MaxWindow = window
 	cfg.Events = events
 	cfg.Metrics = out.registry
-	cfg.CollectWindowTraces = out.traceOut != ""
 	cfg.Logger = out.logger
 	cfg.Feed = out.feed
 	cfg.Objective = objective
@@ -497,6 +496,13 @@ func runStream(ctx context.Context, planner *core.Planner, models []*model.Model
 	sched, err := stream.NewScheduler(planner, cfg)
 	if err != nil {
 		return err
+	}
+	// The Chrome trace is rendered from spans: arm a recorder unless -spans
+	// or -serve already did. The default ring holds thousands of windows,
+	// far more than one -stream run over the -models list plans.
+	if out.traceOut != "" && out.spans == nil {
+		out.spans = obs.NewSpanRecorder(0)
+		ctx = obs.ContextWithRecorder(ctx, out.spans)
 	}
 	requests := stream.PoissonArrivals(models, gap, 7)
 	execOpts := pipeline.DefaultOptions()
@@ -523,7 +529,7 @@ func runStream(ctx context.Context, planner *core.Planner, models []*model.Model
 		}
 	}
 	if out.traceOut != "" {
-		data, err := trace.StreamChrome(res.WindowTraces)
+		data, err := trace.StreamChromeFromSpans(out.spans.Spans())
 		if err != nil {
 			return err
 		}

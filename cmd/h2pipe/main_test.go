@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -158,7 +159,7 @@ func TestObsRunOfflineReport(t *testing.T) {
 }
 
 // TestObsRunStreamReportTrace: stream mode wires -report, -metrics and
-// -trace (window traces with interrupted segments) together.
+// -trace (the span-sourced Chrome trace with interrupted segments) together.
 func TestObsRunStreamReportTrace(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "stream-trace.json")
@@ -196,6 +197,26 @@ func TestObsRunStreamReportTrace(t *testing.T) {
 	}
 	if !strings.Contains(string(prom), "h2pipe_stream_windows_total") {
 		t.Error("metrics output missing stream counters")
+	}
+}
+
+// TestObsStreamTraceGolden: `-stream -trace FILE` under the default flags
+// writes the pinned Chrome trace byte for byte.
+func TestObsStreamTraceGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream-trace.json")
+	captureStdout(t, func() error {
+		return run(context.Background(), []string{"-stream", "-trace", path})
+	})
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/stream_trace_default.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-stream -trace output differs from the golden:\n%s", got)
 	}
 }
 

@@ -58,20 +58,18 @@ func TestObsFacadeWithMetrics(t *testing.T) {
 	}
 }
 
-// TestObsFacadeStreamTrace: CollectWindowTraces through the facade config
-// renders via StreamChromeTrace.
+// TestObsFacadeStreamTrace: a stream run under WithSpans renders via
+// StreamChromeTraceFromSpans; an empty or overflowing ring is an error.
 func TestObsFacadeStreamTrace(t *testing.T) {
-	sys, err := hetero2pipe.NewSystem("Kirin990")
+	rec := hetero2pipe.NewSpanRecorder(0)
+	sys, err := hetero2pipe.NewSystem("Kirin990", hetero2pipe.WithSpans(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hetero2pipe.DefaultStreamConfig()
-	cfg.CollectWindowTraces = true
-	res, err := sys.RunStream(burst(t, model.ResNet50, model.SqueezeNet), cfg)
-	if err != nil {
+	if _, err := sys.RunStream(burst(t, model.ResNet50, model.SqueezeNet), hetero2pipe.DefaultStreamConfig()); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := hetero2pipe.StreamChromeTrace(res)
+	raw, err := hetero2pipe.StreamChromeTraceFromSpans(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +77,30 @@ func TestObsFacadeStreamTrace(t *testing.T) {
 	if err := json.Unmarshal(raw, &events); err != nil {
 		t.Fatalf("trace not JSON: %v", err)
 	}
-	if len(events) == 0 {
-		t.Error("trace is empty")
+	slices := 0
+	for _, e := range events {
+		if e["ph"] == "X" {
+			slices++
+		}
+	}
+	if slices == 0 {
+		t.Error("trace has no slice events")
 	}
 
-	// Without the flag, there is nothing to render.
-	res2, err := sys.RunStream(burst(t, model.SqueezeNet), hetero2pipe.DefaultStreamConfig())
+	// Without a traced run, there is nothing to render.
+	if _, err := hetero2pipe.StreamChromeTraceFromSpans(hetero2pipe.NewSpanRecorder(0)); err == nil {
+		t.Error("StreamChromeTraceFromSpans accepted an empty recorder")
+	}
+	// A ring too small for the run must not yield a partial trace.
+	small := hetero2pipe.NewSpanRecorder(4)
+	sys2, err := hetero2pipe.NewSystem("Kirin990", hetero2pipe.WithSpans(small))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hetero2pipe.StreamChromeTrace(res2); err == nil {
-		t.Error("StreamChromeTrace accepted a run without collected traces")
+	if _, err := sys2.RunStream(burst(t, model.ResNet50, model.SqueezeNet), hetero2pipe.DefaultStreamConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hetero2pipe.StreamChromeTraceFromSpans(small); err == nil {
+		t.Error("StreamChromeTraceFromSpans rendered a run its ring overwrote")
 	}
 }

@@ -53,9 +53,7 @@ func sliceSeconds(p *profile.Profile, k, i, j int) float64 {
 // candidate found for a cell, no larger i can improve it and the inner scan
 // stops. Unlike a pure crossing-point binary search this stays exact even
 // though the memory-copy term T^c(i) of Eq. (2) is not itself monotone in i
-// (boundary tensor sizes vary along the chain); PartitionFast below is the
-// O(nK log n) binary-search variant that is exact whenever Property 2 holds
-// for the combined cost.
+// (boundary tensor sizes vary along the chain).
 //
 // It returns the boundary vector and the bottleneck stage time in seconds.
 func Partition(p *profile.Profile) (pipeline.Cuts, float64, error) {
@@ -66,22 +64,7 @@ func Partition(p *profile.Profile) (pipeline.Cuts, float64, error) {
 // for cancellation between cell rows, so a long chain aborts promptly
 // without finishing its table.
 func PartitionContext(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
-	scr, best, _, err := partitionTable(ctx, p, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	cuts, best, err := backtrackCuts(p, scr.choice, best)
-	putDPScratch(scr)
-	return cuts, best, err
-}
-
-// PartitionFast is the O(nK log n) crossing-point variant of Algorithm 1:
-// per DP cell it binary-searches the index where the non-decreasing
-// S*(·, k-1) crosses the (under Property 2) non-increasing slice cost. It is
-// exact when Property 2 holds for the combined exec+copy cost and within a
-// fraction of a percent of optimal otherwise.
-func PartitionFast(p *profile.Profile) (pipeline.Cuts, float64, error) {
-	scr, best, _, err := partitionTable(context.Background(), p, true)
+	scr, best, _, err := partitionTable(ctx, p)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -148,7 +131,7 @@ func putDPScratch(s *dpScratch) { dpScratchPool.Put(s) }
 // plus every (stage, j) cell filled before completion or cancellation).
 // Ownership of the scratch transfers to the caller on success (release with
 // putDPScratch after backtracking); error returns recycle it internally.
-func partitionTable(ctx context.Context, p *profile.Profile, fast bool) (*dpScratch, float64, uint64, error) {
+func partitionTable(ctx context.Context, p *profile.Profile) (*dpScratch, float64, uint64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
 	if n == 0 || k == 0 {
@@ -186,13 +169,7 @@ func partitionTable(ctx context.Context, p *profile.Profile, fast bool) (*dpScra
 				putDPScratch(scr)
 				return nil, 0, cells, cancelErr(ctx)
 			}
-			var bestI int
-			var bestV float64
-			if fast {
-				bestI, bestV = cellByCrossing(p, prev, stage, j)
-			} else {
-				bestI, bestV = cellByScan(p, prev, stage, j)
-			}
+			bestI, bestV := cellByScan(p, prev, stage, j)
 			dp[j+1] = bestV
 			choice[stage][j+1] = bestI
 			cells++
@@ -219,26 +196,6 @@ func cellByScan(p *profile.Profile, prev []float64, stage, j int) (int, float64)
 		v := math.Max(prev[i], sliceSeconds(p, stage, i, j))
 		if v < bestV {
 			bestI, bestV = i, v
-		}
-	}
-	return bestI, bestV
-}
-
-// cellByCrossing binary-searches the prev/cost crossing (Property 2 path).
-func cellByCrossing(p *profile.Profile, prev []float64, stage, j int) (int, float64) {
-	lo, hi := 0, j+1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if prev[mid] < sliceSeconds(p, stage, mid, j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	bestI, bestV := lo, math.Max(prev[lo], sliceSeconds(p, stage, lo, j))
-	if lo > 0 {
-		if v := math.Max(prev[lo-1], sliceSeconds(p, stage, lo-1, j)); v < bestV {
-			bestI, bestV = lo-1, v
 		}
 	}
 	return bestI, bestV

@@ -241,8 +241,9 @@ func TestSliceSecondsConventions(t *testing.T) {
 }
 
 // TestParametricMatchesDP: the binary-search partitioner lands on (or very
-// near — the copy-in term breaks strict greedy optimality, see
-// PartitionFast's caveat) the DP optimum across the zoo and all presets.
+// near — the copy-in term of Eq. (2) is not monotone along the chain, so
+// greedy packing is not strictly optimal) the DP optimum across the zoo and
+// all presets.
 func TestParametricMatchesDP(t *testing.T) {
 	for _, s := range soc.Presets() {
 		for _, name := range model.Names() {

@@ -231,7 +231,7 @@ func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.
 	if obs.TracingEnabled(ctx) {
 		ctx, sp = obs.StartSpan(ctx, "partition", obs.Str("model", p.Model().Name))
 	}
-	scr, best, cells, err := partitionTable(ctx, p, false)
+	scr, best, cells, err := partitionTable(ctx, p)
 	pl.dpCells.Add(cells)
 	pl.mDPCells.Add(cells)
 	sp.SetAttrs(obs.Int("dp_cells", int64(cells)))

@@ -115,7 +115,6 @@ func mergeStreamDefaults(cfg stream.Config) stream.Config {
 	def.Metrics = cfg.Metrics
 	def.Logger = cfg.Logger
 	def.Feed = cfg.Feed
-	def.CollectWindowTraces = cfg.CollectWindowTraces
 	def.HaltInfeasible = cfg.HaltInfeasible
 	def.Objective = cfg.Objective
 	def.SLO = cfg.SLO

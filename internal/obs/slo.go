@@ -143,7 +143,7 @@ type SLOClassReport struct {
 	Target float64 `json:"target"`
 	// Total and Missed are lifetime completion and deadline-miss counts;
 	// MissFraction is their ratio. Missed matches the
-	// stream_deadline_miss_total{slo="..."} labeled counter.
+	// stream_deadline_misses_total{slo="..."} labeled counter.
 	Total        uint64  `json:"total"`
 	Missed       uint64  `json:"missed"`
 	MissFraction float64 `json:"miss_fraction"`

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"context"
 	"encoding/json"
+	"strconv"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/soc"
+	"hetero2pipe/internal/trace"
 )
 
 // degradedScenario returns a config whose run exercises every report
@@ -122,18 +125,35 @@ func TestObsRunReportMatchesResult(t *testing.T) {
 	// Registry counters must agree with the Result too.
 	snap := reg.Snapshot()
 	for name, want := range map[string]uint64{
-		"stream_windows_total":         uint64(res.Windows),
-		"stream_replans_total":         uint64(res.Replans),
-		"stream_requeues_total":        uint64(res.Retried),
-		"stream_plan_retries_total":    uint64(res.PlanRetries),
-		"stream_deadline_misses_total": uint64(res.DeadlineMisses),
-		"stream_events_applied_total":  uint64(res.EventsApplied),
-		"planner_cache_hits_total":     res.CacheHits,
-		"planner_cache_misses_total":   res.CacheMisses,
+		"stream_windows_total":        uint64(res.Windows),
+		"stream_replans_total":        uint64(res.Replans),
+		"stream_requeues_total":       uint64(res.Retried),
+		"stream_plan_retries_total":   uint64(res.PlanRetries),
+		"stream_events_applied_total": uint64(res.EventsApplied),
+		"planner_cache_hits_total":    res.CacheHits,
+		"planner_cache_misses_total":  res.CacheMisses,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("registry %s = %d, want %d", name, got, want)
 		}
+	}
+	// Deadline misses are counted once, per SLO class.
+	if res.DeadlineMisses == 0 {
+		t.Fatal("scenario produced no deadline misses")
+	}
+	misses := 0
+	for class, want := range res.MissesBySLO {
+		series := obs.SeriesName("stream_deadline_misses_total", "slo", class)
+		if got := snap.Counters[series]; got != uint64(want) {
+			t.Errorf("registry %s = %d, want %d", series, got, want)
+		}
+		misses += want
+	}
+	if misses != res.DeadlineMisses {
+		t.Errorf("per-class misses sum to %d, want %d", misses, res.DeadlineMisses)
+	}
+	if _, ok := snap.Counters["stream_deadline_misses_total"]; ok {
+		t.Error("unlabeled stream_deadline_misses_total registered next to the per-class series")
 	}
 	// One observation per recorded completion; requeued executions are
 	// discarded before recording, so the count is exactly the request count.
@@ -158,66 +178,73 @@ func TestObsRunReportMatchesResult(t *testing.T) {
 	}
 }
 
-// TestObsWindowTraces: CollectWindowTraces retains one trace per executed
-// window, with the interrupted window carrying its cut point.
+// TestObsWindowTraces: the span-sourced Chrome trace of a degraded run
+// carries every executed window, each inside its WindowStat bounds, and
+// marks each interrupted window's cut point — and only those — with
+// interrupt instants.
 func TestObsWindowTraces(t *testing.T) {
 	cfg, reqs := degradedScenario(t)
-	cfg.CollectWindowTraces = true
-	pl, err := core.NewPlanner(soc.Kirin990(), core.DefaultOptions())
+	s := newScheduler(t, cfg)
+	rec := obs.NewSpanRecorder(0)
+	res, err := s.RunContext(obs.ContextWithRecorder(context.Background(), rec), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScheduler(pl, cfg)
+	raw, err := trace.StreamChromeFromSpans(rec.Spans())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
-	if err != nil {
+	var events []struct {
+		Phase string            `json:"ph"`
+		Ts    float64           `json:"ts"`
+		Dur   float64           `json:"dur"`
+		Args  map[string]string `json:"args"`
+	}
+	if err := json.Unmarshal(raw, &events); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.WindowTraces) != res.Windows {
-		t.Fatalf("WindowTraces = %d, want one per window (%d)", len(res.WindowTraces), res.Windows)
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+	const eps = 0.001 // µs; float rounding of ts+dur
+	slices := make([]int, res.Windows)
+	instants := make([]int, res.Windows)
+	for _, e := range events {
+		if e.Phase == "M" {
+			continue
+		}
+		w, err := strconv.Atoi(e.Args["window"])
+		if err != nil || w < 0 || w >= res.Windows {
+			t.Fatalf("event %+v names window %q of %d", e, e.Args["window"], res.Windows)
+		}
+		ws := res.WindowStats[w]
+		switch e.Phase {
+		case "X":
+			slices[w]++
+			if e.Ts < us(ws.Start)-eps || e.Ts+e.Dur > us(ws.End)+eps {
+				t.Errorf("window %d slice [%v, %v] µs outside its window [%v, %v] µs",
+					w, e.Ts, e.Ts+e.Dur, us(ws.Start), us(ws.End))
+			}
+		case "i":
+			instants[w]++
+			if !ws.Interrupted {
+				t.Errorf("interrupt instant on uninterrupted window %d", w)
+			} else if e.Ts != us(ws.End) {
+				t.Errorf("window %d interrupt instant at %v µs, want its end %v µs", w, e.Ts, us(ws.End))
+			}
+		}
 	}
 	interrupted := 0
-	for i, wt := range res.WindowTraces {
-		if wt.Window != i {
-			t.Errorf("trace %d has window index %d", i, wt.Window)
+	for w, ws := range res.WindowStats {
+		if slices[w] == 0 {
+			t.Errorf("window %d has no slices in the trace", w)
 		}
-		if wt.Schedule == nil || wt.Exec == nil {
-			t.Fatalf("trace %d missing schedule or exec", i)
-		}
-		ws := res.WindowStats[i]
-		if wt.Start != ws.Start {
-			t.Errorf("trace %d start %v != window stat start %v", i, wt.Start, ws.Start)
-		}
-		if wt.Interrupted != ws.Interrupted {
-			t.Errorf("trace %d interrupted %v != window stat %v", i, wt.Interrupted, ws.Interrupted)
-		}
-		if wt.Interrupted {
+		if ws.Interrupted {
 			interrupted++
-			if wt.InterruptAt != ws.End {
-				t.Errorf("trace %d interrupt at %v != window end %v", i, wt.InterruptAt, ws.End)
+			if instants[w] != s.planner.SoC().NumProcessors() {
+				t.Errorf("window %d: %d interrupt instants, want one per processor", w, instants[w])
 			}
 		}
 	}
 	if interrupted == 0 {
-		t.Error("scenario produced no interrupted window trace")
-	}
-	// Off by default: no traces retained.
-	cfg.CollectWindowTraces = false
-	pl2, err := core.NewPlanner(soc.Kirin990(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewScheduler(pl2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := s2.Run(burstRequests(t, model.ResNet50), pipeline.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.WindowTraces != nil {
-		t.Errorf("traces retained without CollectWindowTraces: %d", len(res2.WindowTraces))
+		t.Error("scenario produced no interrupted window")
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,8 +10,10 @@ import (
 
 	"hetero2pipe/internal/core"
 	"hetero2pipe/internal/model"
+	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/soc"
+	"hetero2pipe/internal/trace"
 )
 
 // newPlanCacheScheduler builds a scheduler over a fresh SoC and planner with
@@ -31,11 +34,13 @@ func newPlanCacheScheduler(t *testing.T, cfg Config, capacity int) *Scheduler {
 }
 
 // canonicalRun serialises every virtual-clock observable of a run —
-// completions, sojourns, window accounting, planned stage rows and executed
-// timelines — while excluding wall-clock fields (PlanWall) and the cache
-// counters themselves, which legitimately differ between a cached and an
-// uncached run.
-func canonicalRun(res *Result) string {
+// completions, sojourns, window accounting, and the span-sourced Chrome
+// trace, which carries every executed slice's request, stage, layer range,
+// slowdown and virtual start/end — while excluding wall-clock fields
+// (PlanWall) and the cache counters themselves, which legitimately differ
+// between a cached and an uncached run.
+func canonicalRun(t *testing.T, res *Result, rec *obs.SpanRecorder) string {
+	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "makespan=%v windows=%d replans=%d retried=%d planretries=%d events=%d deadline=%d\n",
 		res.Makespan, res.Windows, res.Replans, res.Retried, res.PlanRetries,
@@ -46,14 +51,11 @@ func canonicalRun(res *Result) string {
 			i, ws.Start, ws.End, ws.Requests, ws.Completed, ws.Requeued,
 			ws.PlanRetries, ws.EventsApplied, ws.Interrupted, ws.ExecSpan)
 	}
-	for _, tr := range res.WindowTraces {
-		fmt.Fprintf(&b, "trace%d start=%v interrupted=%t at=%v exec=%v bubble=%v completions=%v\n",
-			tr.Window, tr.Start, tr.Interrupted, tr.InterruptAt,
-			tr.Exec.Makespan, tr.Exec.BubbleTime, tr.Exec.Completions)
-		for i, row := range tr.Schedule.Stages {
-			fmt.Fprintf(&b, "  req%d=%s stages=%v\n", i, tr.Schedule.Profiles[i].Model().Name, row)
-		}
+	chrome, err := trace.StreamChromeFromSpans(rec.Spans())
+	if err != nil {
+		t.Fatal(err)
 	}
+	b.Write(chrome)
 	return b.String()
 }
 
@@ -68,7 +70,7 @@ func TestDifferentialStreamPlanCache(t *testing.T) {
 		model.ResNet50, model.SqueezeNet, model.GoogLeNet,
 	}
 	baseCfg := Config{MaxWindow: 3, MaxBatch: 1, MaxRetries: 6,
-		RetryBackoff: 500 * time.Microsecond, CollectWindowTraces: true}
+		RetryBackoff: 500 * time.Microsecond}
 
 	// Learn the first window's span so one scenario can interrupt strictly
 	// inside it.
@@ -121,17 +123,19 @@ func TestDifferentialStreamPlanCache(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := baseCfg
 			cfg.Events = sc.events
-			run := func(capacity int) *Result {
+			run := func(capacity int) (*Result, string) {
 				s := newPlanCacheScheduler(t, cfg, capacity)
-				res, err := s.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+				rec := obs.NewSpanRecorder(0)
+				ctx := obs.ContextWithRecorder(context.Background(), rec)
+				res, err := s.RunContext(ctx, burstRequests(t, names...), pipeline.DefaultOptions())
 				if err != nil {
 					t.Fatalf("plan cache %d: %v", capacity, err)
 				}
-				return res
+				return res, canonicalRun(t, res, rec)
 			}
-			uncached := run(0)
-			cached := run(8)
-			if got, want := canonicalRun(cached), canonicalRun(uncached); got != want {
+			uncached, want := run(0)
+			cached, got := run(8)
+			if got != want {
 				t.Errorf("cached run diverged from uncached:\n--- cached ---\n%s--- uncached ---\n%s", got, want)
 			}
 			if cached.PlanCacheHits+cached.PlanCacheMisses != uint64(cached.Windows) {

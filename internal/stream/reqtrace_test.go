@@ -262,7 +262,7 @@ func TestDecompInvariantBackoffHalt(t *testing.T) {
 }
 
 // TestSLOBudgetMissCountersMatch pins the /slo data path: the labeled
-// stream_deadline_miss_total counters, Result.MissesBySLO, the report's
+// stream_deadline_misses_total counters, Result.MissesBySLO, the report's
 // per-class table and the SLO monitor's lifetime totals must all agree.
 func TestSLOBudgetMissCountersMatch(t *testing.T) {
 	reg := obs.NewRegistry("h2pipe")
@@ -304,17 +304,17 @@ func TestSLOBudgetMissCountersMatch(t *testing.T) {
 		if got := res.MissesBySLO[class]; got != want {
 			t.Errorf("MissesBySLO[%s] = %d, want %d", class, got, want)
 		}
-		series := obs.SeriesName("stream_deadline_miss_total", "slo", class)
+		series := obs.SeriesName("stream_deadline_misses_total", "slo", class)
 		if got := snap.Counters[series]; got != uint64(want) {
 			t.Errorf("%s = %d, want %d", series, got, want)
 		}
-		totalLabeled += int(snap.Counters[obs.SeriesName("stream_deadline_miss_total", "slo", class)])
+		totalLabeled += int(snap.Counters[series])
 		if got := res.Report.Stream.DeadlineMissesBySLO[class]; got != want {
 			t.Errorf("report DeadlineMissesBySLO[%s] = %d, want %d", class, got, want)
 		}
 	}
 	if totalLabeled != res.DeadlineMisses {
-		t.Errorf("labeled miss counters sum to %d, unlabeled total is %d", totalLabeled, res.DeadlineMisses)
+		t.Errorf("labeled miss counters sum to %d, Result.DeadlineMisses is %d", totalLabeled, res.DeadlineMisses)
 	}
 
 	// The monitor's lifetime totals mirror the same completions.

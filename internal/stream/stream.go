@@ -94,17 +94,12 @@ type Config struct {
 	HaltInfeasible bool
 	// Metrics, when set, receives stream-scheduler observability
 	// (stream_windows_total, stream_replans_total, stream_requeues_total,
-	// stream_plan_retries_total, stream_deadline_misses_total,
+	// stream_plan_retries_total, stream_deadline_misses_total{slo},
 	// stream_events_applied_total, plus per-window plan/execute latency and
 	// per-request sojourn histograms). The same registry is handed to the
 	// executor for the real window executions unless the caller set
 	// pipeline.Options.Metrics explicitly.
 	Metrics *obs.Registry
-	// CollectWindowTraces keeps every executed window's schedule and
-	// executor timeline on the Result for Chrome-trace emission
-	// (internal/trace.StreamChrome). Off by default: traces retain every
-	// slice of every window.
-	CollectWindowTraces bool
 	// Logger, when set, receives structured records for the scheduler's
 	// state transitions: degradation events applied (info), window
 	// interrupts (warn), plan-retry backoffs (warn), deadline misses (warn)
@@ -200,23 +195,6 @@ type WindowStat struct {
 	FrontierSize int
 }
 
-// WindowTrace retains one executed window for trace emission: the schedule,
-// the executor result, and where (if anywhere) a degradation event cut the
-// window short. Collected only under Config.CollectWindowTraces.
-type WindowTrace struct {
-	// Window is the index into Result.WindowStats.
-	Window int
-	// Start is the window's absolute start on the virtual clock.
-	Start time.Duration
-	// Schedule is the planned window; Exec its executed timeline.
-	Schedule *pipeline.Schedule
-	Exec     *pipeline.Result
-	// Interrupted marks a window cut short at InterruptAt (absolute);
-	// slices past that instant were discarded and their requests requeued.
-	Interrupted bool
-	InterruptAt time.Duration
-}
-
 // Result aggregates the online run.
 type Result struct {
 	// Completions[i] is the absolute completion time of request i.
@@ -284,9 +262,6 @@ type Result struct {
 	// Report is the structured run report, always populated on success; its
 	// figures match this Result's fields exactly (see obs.RunReport).
 	Report *obs.RunReport
-	// WindowTraces holds every executed window when
-	// Config.CollectWindowTraces is set; nil otherwise.
-	WindowTraces []WindowTrace
 }
 
 // MeanSojourn returns the average request sojourn time.
@@ -412,7 +387,6 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 	mReplans := reg.Counter("stream_replans_total")
 	mRequeues := reg.Counter("stream_requeues_total")
 	mPlanRetries := reg.Counter("stream_plan_retries_total")
-	mDeadlineMisses := reg.Counter("stream_deadline_misses_total")
 	mEvents := reg.Counter("stream_events_applied_total")
 	mHandoffs := reg.Counter("stream_handoffs_total")
 	mPlanSeconds := reg.Histogram("stream_window_plan_seconds", obs.LatencyBuckets())
@@ -497,10 +471,9 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 		if d := requests[global].Deadline; d > 0 && res.Sojourns[global] > d {
 			missed = true
 			res.DeadlineMisses++
-			mDeadlineMisses.Inc()
 			// Per-class miss attribution: the labeled counter feeding the
 			// /slo view, and its Result-side mirror.
-			reg.WithLabels("slo", slo).Counter("stream_deadline_miss_total").Inc()
+			reg.WithLabels("slo", slo).Counter("stream_deadline_misses_total").Inc()
 			if res.MissesBySLO == nil {
 				res.MissesBySLO = make(map[string]int)
 			}
@@ -635,7 +608,7 @@ runLoop:
 		}
 
 		// vt_start is the window's execution start on the virtual clock —
-		// `now` after any retry backoff, matching WindowTrace.Start. The
+		// `now` after any retry backoff, which WindowStat.Start precedes. The
 		// executor's slice spans (children of this window via wctx) carry
 		// window-relative virtual times; the Chrome converter re-bases them
 		// on this attribute.
@@ -663,17 +636,6 @@ runLoop:
 		interruptAt := time.Duration(-1)
 		if eventIdx < len(s.events) && s.events[eventIdx].At < windowEnd {
 			interruptAt = s.events[eventIdx].At
-		}
-
-		if s.cfg.CollectWindowTraces {
-			res.WindowTraces = append(res.WindowTraces, WindowTrace{
-				Window:      res.Windows,
-				Start:       now,
-				Schedule:    sched,
-				Exec:        exec,
-				Interrupted: interruptAt >= 0,
-				InterruptAt: interruptAt,
-			})
 		}
 
 		if interruptAt < 0 {

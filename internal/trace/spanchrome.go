@@ -10,20 +10,25 @@ import (
 	"hetero2pipe/internal/obs"
 )
 
-// Span-sourced Chrome-trace export: the same stream-run trace StreamChrome
-// renders from WindowTraces, reconstructed purely from the span ring — so a
-// run traced with a SpanRecorder but without CollectWindowTraces still
-// yields the full Chrome timeline, and both exports come from one source of
-// truth (the converter is pinned byte-identical to StreamChrome by test).
+// Stream-run Chrome-trace export, reconstructed from the span ring: every
+// executed planning window rendered on absolute virtual time, one track per
+// processor. Interrupted windows appear as distinct segments — committed
+// slices carry the window index and status "completed", while work
+// discarded at the interrupt is clipped to the interrupt instant, renamed
+// with a "(discarded)" suffix and marked status "discarded", so a replanned
+// window is visually separate from the aborted attempt it replaces. Each
+// interrupt additionally emits an instant ("i") event on every track at the
+// cut point.
 //
 // The reconstruction walks the span tree the instrumented runtime emits:
 // one stream_run root (procs attr = comma-joined processor IDs), window
 // spans beneath it (window, vt_start, vt_end, interrupted, interrupt_at
-// attrs), one execute span per window, and slice spans beneath that
-// (request, stage, model, layers_from/to, slowdown and window-relative
-// vt_start/vt_end attrs). Request completions are recovered as the maximum
-// slice vt_end per request, which matches pipeline.Result.Completions
-// because the executor finishes a request exactly when its last slice ends.
+// attrs), one execute span per executed window (slices attr = the executed
+// slice count), and slice spans beneath that (request, stage, model,
+// layers_from/to, slowdown and window-relative vt_start/vt_end attrs).
+// Request completions are recovered as the maximum slice vt_end per
+// request, which matches pipeline.Result.Completions because the executor
+// finishes a request exactly when its last slice ends.
 
 // spanSlice is one executor slice recovered from a slice span.
 type spanSlice struct {
@@ -40,13 +45,18 @@ type spanWindow struct {
 	start       time.Duration
 	interrupted bool
 	interruptAt time.Duration
-	slices      []spanSlice
+	// execSlices is the execute span's slices attribute: 0 for a window that
+	// never executed (no vt_start), -1 for one whose execute span is gone.
+	execSlices int
+	slices     []spanSlice
 }
 
-// StreamChromeFromSpans renders a traced stream run as trace-event JSON,
-// byte-identical to StreamChrome over the same run. Spans from the most
-// recent stream_run root in the slice are used; spans of other runs sharing
-// the recorder are ignored.
+// StreamChromeFromSpans renders a traced stream run as trace-event JSON.
+// Spans from the most recent stream_run root in the slice are used; spans
+// of other runs sharing the recorder are ignored. A run whose spans the
+// ring partly overwrote — window indices under the root not contiguous from
+// 0, or an executed window missing slice spans its execute span counted —
+// is an error rather than a partial trace.
 func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 	// The recorder snapshot is oldest-first: the last stream_run root is the
 	// most recent run.
@@ -82,6 +92,7 @@ func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 			}
 			if a, ok := s.Attr("vt_start"); ok {
 				w.start = a.AsDuration()
+				w.execSlices = -1
 			}
 			if a, ok := s.Attr("interrupted"); ok {
 				w.interrupted = a.AsInt() != 0
@@ -97,8 +108,11 @@ func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 		if s.Name != "execute" {
 			continue
 		}
-		if _, ok := windows[s.Parent]; ok {
+		if w, ok := windows[s.Parent]; ok {
 			execOf[s.ID] = s.Parent
+			if a, ok := s.Attr("slices"); ok {
+				w.execSlices = int(a.AsInt())
+			}
 		}
 	}
 	for i := range spans {
@@ -147,6 +161,14 @@ func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 		ordered = append(ordered, w)
 	}
 	sort.Slice(ordered, func(a, b int) bool { return ordered[a].idx < ordered[b].idx })
+	for i, w := range ordered {
+		if w.idx != i {
+			return nil, fmt.Errorf("trace: span ring overwrote part of the stream run: window %d where %d was expected", w.idx, i)
+		}
+		if len(w.slices) != w.execSlices {
+			return nil, fmt.Errorf("trace: span ring overwrote part of the stream run: window %d has %d slice spans, its execute span recorded %d", w.idx, len(w.slices), w.execSlices)
+		}
+	}
 
 	events := make([]chromeEvent, 0, len(ordered)*8)
 	for k, id := range procs {
@@ -227,4 +249,10 @@ func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 		}
 	}
 	return json.MarshalIndent(events, "", "  ")
+}
+
+// micros converts a duration to fractional microseconds, the trace format's
+// time unit. Fractional precision keeps sub-microsecond slices visible.
+func micros(d time.Duration) float64 {
+	return float64(d.Nanoseconds()) / 1e3
 }

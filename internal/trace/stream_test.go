@@ -6,57 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"hetero2pipe/internal/core"
 	"hetero2pipe/internal/model"
-	"hetero2pipe/internal/pipeline"
+	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/soc"
 	"hetero2pipe/internal/stream"
-	"hetero2pipe/internal/workload"
 )
-
-// interruptedStreamRun produces a run with at least one interrupted and one
-// completed window, traces collected.
-func interruptedStreamRun(t *testing.T) *stream.Result {
-	t.Helper()
-	names := []string{
-		model.ResNet50, model.GoogLeNet, model.BERT,
-		model.ResNet50, model.GoogLeNet, model.BERT,
-	}
-	models, err := workload.Instantiate(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]stream.Request, len(models))
-	for i, m := range models {
-		reqs[i] = stream.Request{Model: m}
-	}
-	run := func(cfg stream.Config) *stream.Result {
-		pl, err := core.NewPlanner(soc.Kirin990(), core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := stream.NewScheduler(pl, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(reqs, pipeline.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	cfg := stream.DefaultConfig()
-	cfg.CollectWindowTraces = true
-	base := run(cfg)
-	cfg.Events = []soc.Event{
-		{Kind: soc.EventProcessorOffline, Processor: "npu", At: base.WindowStats[0].End / 3},
-	}
-	res := run(cfg)
-	if res.Replans == 0 {
-		t.Fatal("scenario produced no interrupted window")
-	}
-	return res
-}
 
 // chromeEventView mirrors the emitted JSON shape for assertions.
 type chromeEventView struct {
@@ -69,9 +23,10 @@ type chromeEventView struct {
 	Args  map[string]string `json:"args"`
 }
 
-func TestObsStreamChrome(t *testing.T) {
-	res := interruptedStreamRun(t)
-	raw, err := StreamChrome(res.WindowTraces)
+// spanChromeEvents renders rec's stream run from spans and decodes it.
+func spanChromeEvents(t *testing.T, rec *obs.SpanRecorder) []chromeEventView {
+	t.Helper()
+	raw, err := StreamChromeFromSpans(rec.Spans())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +34,19 @@ func TestObsStreamChrome(t *testing.T) {
 	if err := json.Unmarshal(raw, &events); err != nil {
 		t.Fatalf("output is not valid trace-event JSON: %v", err)
 	}
+	return events
+}
+
+func TestObsStreamChrome(t *testing.T) {
+	res, rec := interruptedTracedRun(t)
+	events := spanChromeEvents(t, rec)
 
 	var meta, slices, discarded, instants int
 	windowsSeen := map[string]bool{}
 	var interruptUS float64
-	for _, wt := range res.WindowTraces {
-		if wt.Interrupted {
-			interruptUS = float64(wt.InterruptAt.Nanoseconds()) / 1e3
+	for _, ws := range res.WindowStats {
+		if ws.Interrupted {
+			interruptUS = float64(ws.End.Nanoseconds()) / 1e3
 			break
 		}
 	}
@@ -136,46 +97,26 @@ func TestObsStreamChrome(t *testing.T) {
 	}
 }
 
+// TestObsStreamChromeEmpty: spans without a stream_run root — none at all,
+// or only another kind of root — are an error, not an empty trace.
 func TestObsStreamChromeEmpty(t *testing.T) {
-	if _, err := StreamChrome(nil); err == nil {
-		t.Error("empty trace accepted")
+	if _, err := StreamChromeFromSpans(nil); err == nil {
+		t.Error("empty span list accepted")
+	}
+	rec := obs.NewSpanRecorder(0)
+	_, sp := obs.StartSpan(obs.ContextWithRecorder(t.Context(), rec), "fleet_run")
+	sp.End()
+	if _, err := StreamChromeFromSpans(rec.Spans()); err == nil {
+		t.Error("span list without a stream_run root accepted")
 	}
 }
 
 // TestObsStreamChromeUninterrupted: a clean run emits only completed
 // segments and no instants.
 func TestObsStreamChromeUninterrupted(t *testing.T) {
-	models, err := workload.Instantiate([]string{model.ResNet50, model.SqueezeNet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]stream.Request, len(models))
-	for i, m := range models {
-		reqs[i] = stream.Request{Model: m, Arrival: time.Duration(i) * time.Millisecond}
-	}
-	pl, err := core.NewPlanner(soc.Kirin990(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := stream.DefaultConfig()
-	cfg.CollectWindowTraces = true
-	s, err := stream.NewScheduler(pl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := StreamChrome(res.WindowTraces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []chromeEventView
-	if err := json.Unmarshal(raw, &events); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events {
+	rec := obs.NewSpanRecorder(0)
+	recordedStreamRun(t, stream.DefaultConfig(), rec, time.Millisecond, model.ResNet50, model.SqueezeNet)
+	for _, e := range spanChromeEvents(t, rec) {
 		if e.Phase == "i" {
 			t.Errorf("uninterrupted run emitted instant event %+v", e)
 		}

@@ -38,10 +38,10 @@ func WriteOTLP(w io.Writer, rec *SpanRecorder, service string) error {
 	return obs.WriteOTLP(w, rec, service)
 }
 
-// StreamChromeTraceFromSpans converts a traced stream run into Chrome
-// trace-event JSON — the same document StreamChromeTrace renders from
-// collected WindowTraces, reconstructed from the span ring alone, so runs
-// traced with WithSpans need no CollectWindowTraces to visualise.
+// StreamChromeTraceFromSpans converts the most recent stream run traced
+// into rec (WithSpans) into Chrome trace-event JSON, with interrupted and
+// replanned windows shown as distinct segments. A run the ring was too
+// small to hold whole is an error, not a partial trace.
 func StreamChromeTraceFromSpans(rec *SpanRecorder) ([]byte, error) {
 	return trace.StreamChromeFromSpans(rec.Spans())
 }

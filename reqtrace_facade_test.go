@@ -184,7 +184,7 @@ func TestRequestTracingFacadeEndToEnd(t *testing.T) {
 	if c.Total != uint64(len(reqs)) || c.Missed != 1 {
 		t.Errorf("/slo counts %d/%d, want 1/%d", c.Missed, c.Total, len(reqs))
 	}
-	missSeries := obs.SeriesName("stream_deadline_miss_total", "slo", "latency-critical")
+	missSeries := obs.SeriesName("stream_deadline_misses_total", "slo", "latency-critical")
 	if got := reg.Snapshot().Counters[missSeries]; got != c.Missed {
 		t.Errorf("%s = %d, /slo says %d", missSeries, got, c.Missed)
 	}
