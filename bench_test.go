@@ -361,10 +361,11 @@ func benchStreamRun(b *testing.B, planCache int, events []soc.Event) {
 }
 
 // benchChurnEvents probes an event-free run for its makespan and spreads an
-// alternating throttle (1.5 ↔ nominal) across it: every planning epoch is
-// retired before the next window, so the plan cache can never serve a hit.
-// The event count is even, returning the SoC to nominal so every b.N
-// iteration replays identically.
+// alternating throttle (1.5 ↔ nominal) across it, so the SoC changes state
+// between windows. The plan cache is keyed on that state, not on the event
+// count, so once a window has been planned in both states every recurrence
+// is a hit. The event count is even, returning the SoC to nominal so every
+// b.N iteration replays identically.
 func benchChurnEvents(b *testing.B) []soc.Event {
 	b.Helper()
 	pl, err := core.NewPlanner(soc.Kirin990(), core.DefaultOptions())

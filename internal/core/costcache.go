@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -45,13 +44,17 @@ type cacheEntry struct {
 	tables []*profile.Table
 	// assembled is the whole-profile view; nil whenever any table slot is.
 	assembled *profile.Profile
+	// digest is the model's content digest (model.Model.Digest), computed
+	// when the model is first measured and carried into every re-assembled
+	// entry, so plan signatures never re-hash a cached model's layers.
+	digest uint64
 }
 
 // costCache memoizes per-(model, processor, batch) cost tables.
 type costCache struct {
 	mu      sync.RWMutex
 	soc     *soc.SoC
-	entries map[string]*cacheEntry
+	entries map[modelKey]*cacheEntry
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	// hitC/missC mirror the lifetime counters into the owning planner's
@@ -63,17 +66,22 @@ type costCache struct {
 func newCostCache(s *soc.SoC, reg *obs.Registry) *costCache {
 	return &costCache{
 		soc:     s,
-		entries: make(map[string]*cacheEntry),
+		entries: make(map[modelKey]*cacheEntry),
 		hitC:    reg.Counter("planner_cache_hits_total"),
 		missC:   reg.Counter("planner_cache_misses_total"),
 	}
 }
 
-// cacheKey identifies a model cheaply. Name alone is not trusted — two
-// distinct models may share a name — so lookups verify structural equality
-// before counting a hit.
-func cacheKey(m *model.Model) string {
-	return m.Name + "/" + strconv.Itoa(m.NumLayers())
+// modelKey identifies a model cheaply, and without allocating. Name alone
+// is not trusted — two distinct models may share a name — so lookups
+// verify structural equality before counting a hit.
+type modelKey struct {
+	name   string
+	layers int
+}
+
+func cacheKey(m *model.Model) modelKey {
+	return modelKey{m.Name, m.NumLayers()}
 }
 
 // sameModel reports whether two models are structurally identical — the
@@ -107,6 +115,7 @@ func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error
 	key := cacheKey(m)
 	c.mu.RLock()
 	var reuse []*profile.Table
+	var digest uint64
 	if c.soc == s {
 		if e, ok := c.entries[key]; ok && sameModel(e.model, m) {
 			if e.assembled != nil {
@@ -116,9 +125,13 @@ func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error
 				return e.assembled, nil
 			}
 			reuse = append([]*profile.Table(nil), e.tables...)
+			digest = e.digest
 		}
 	}
 	c.mu.RUnlock()
+	if reuse == nil {
+		digest = m.Digest()
+	}
 
 	reused := 0
 	for _, t := range reuse {
@@ -140,7 +153,7 @@ func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error
 	if c.soc != s {
 		// SoC changed since the cache was built: every entry is stale.
 		c.soc = s
-		c.entries = make(map[string]*cacheEntry)
+		c.entries = make(map[modelKey]*cacheEntry)
 	}
 	if prior, ok := c.entries[key]; ok && sameModel(prior.model, m) && prior.assembled != nil {
 		// A concurrent worker assembled the same model first; keep its entry
@@ -152,9 +165,23 @@ func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error
 	for k := range tables {
 		tables[k] = p.Table(k)
 	}
-	c.entries[key] = &cacheEntry{model: m, tables: tables, assembled: p}
+	c.entries[key] = &cacheEntry{model: m, tables: tables, assembled: p, digest: digest}
 	c.mu.Unlock()
 	return p, nil
+}
+
+// digest returns m's content digest, reusing the one memoized on m's entry
+// when m is structurally that entry's model (always, for the model of a
+// profile this cache assembled). Entries are never mutated in the fields
+// read here, so they are read outside the lock.
+func (c *costCache) digest(m *model.Model) uint64 {
+	c.mu.RLock()
+	e, ok := c.entries[cacheKey(m)]
+	c.mu.RUnlock()
+	if ok && sameModel(e.model, m) {
+		return e.digest
+	}
+	return m.Digest()
 }
 
 // stats returns the lifetime hit/miss counters.
@@ -166,7 +193,7 @@ func (c *costCache) stats() (hits, misses uint64) {
 // planner's lifetime, not one cache generation).
 func (c *costCache) invalidate() {
 	c.mu.Lock()
-	c.entries = make(map[string]*cacheEntry)
+	c.entries = make(map[modelKey]*cacheEntry)
 	c.mu.Unlock()
 }
 
@@ -213,7 +240,8 @@ func (pl *Planner) CacheStats() (hits, misses uint64) {
 // plan. Call it after mutating the SoC description in place (frequency
 // scaling, thermal capping experiments); the next plan re-measures every
 // model. Pair it with soc.SoC.BumpEpoch so plan signatures computed after
-// the mutation cannot alias pre-mutation ones.
+// the mutation cannot alias pre-mutation ones (the bump advances the
+// generation the SoC state key covers).
 func (pl *Planner) InvalidateCache() {
 	pl.cache.invalidate()
 	if pl.planCache != nil {
@@ -231,14 +259,14 @@ func (pl *Planner) InvalidateCache() {
 // the partial invalidation matching a degradation event's affected set
 // (soc.SoC.Apply returns it). Unaffected (model, processor) tables stay
 // cached; the next lookup re-measures the stale slots and shares the rest.
-// A non-empty set also flushes the whole-plan cache: a plan spans every
-// processor, so no memoized plan survives any processor's transition (the
-// bumped epoch already makes those entries unreachable; flushing reclaims
-// them). An empty set — a no-op event — touches neither cache.
+// The whole-plan cache is left alone: its entries are keyed on the SoC's
+// runtime state (soc.SoC.StateKey), so the event already moved lookups to
+// the new state's keys, and the old state's plans serve again if the SoC
+// returns to it.
 func (pl *Planner) InvalidateProcessors(procs ...int) {
 	pl.cache.invalidateProcessors(procs)
-	if len(procs) > 0 && pl.planCache != nil {
-		pl.planCache.invalidate()
+	if pl.partMemo != nil {
+		pl.partMemo.dropTables(procs)
 	}
 }
 

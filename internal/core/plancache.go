@@ -2,10 +2,7 @@ package core
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,23 +24,39 @@ import (
 // identical plan every time. The plan cache memoizes whole plans behind a
 // canonical window signature:
 //
-//	SoC degradation epoch | planner options fingerprint | ordered model digests
+//	mode | SoC state key | planner options fingerprint | ordered model digests
 //
-// The epoch (soc.SoC.Epoch) is the validity token: every state-changing
-// degradation event bumps it, so a cached plan can never survive a throttle,
-// frequency step, offline/online transition or bus squeeze — without the
-// cache ever re-hashing the SoC description. The model sequence is kept in
-// window order, not sorted: the planner's candidate orderings and the
-// Order index mapping depend on the order requests arrive in, so two
-// permutations of one multiset are distinct planner inputs with distinct
-// (byte-different) plans.
+// A plan is a pure function of the SoC description, its runtime
+// degradation state, the options and the ordered model content, and the
+// signature covers each. The state key (soc.SoC.StateKey) hashes every
+// processor's offline flag, throttle factor and frequency fraction, the bus
+// derate, and a generation counter only BumpEpoch advances (the escape
+// hatch for in-place description changes). Because it is computed from the
+// state rather than counted up per event, a SoC that throttles and then
+// recovers is back at its earlier key: thermal and DVFS governors cycle
+// through a few operating points, and every return to one is served from
+// the cache. Degradation events therefore flush nothing — entries for
+// states the SoC has left simply wait in the LRU until it comes back or
+// they age out. The model sequence is kept in window order, not sorted:
+// the planner's candidate orderings and the Order index mapping depend on
+// the order requests arrive in, so two permutations of one multiset are
+// distinct planner inputs with distinct (byte-different) plans.
 //
-// Hits return a deep copy: plans are mutable (stream callers hand the
-// schedule to the executor, experiments rewrite stage rows), so the cache
-// keeps a private copy at insert and clones it on every hit. Structural
-// model verification guards the digest-based key the same way sameModel
-// guards the cost cache's name-based key, so a digest collision degrades to
-// a miss, never a wrong plan.
+// An entry keeps the model identities behind its digests, and a hit
+// re-checks them, the same way sameModel guards the cost cache's name-based
+// key, so a digest collision degrades to a miss. The state key has no such
+// guard: two distinct runtime states of one SoC would have to collide in 64
+// bits, which for n states the SoC ever visits happens with probability
+// about n²/2⁶⁵.
+//
+// Entries never hold profiles. A stored plan has Schedule.Profiles cleared,
+// and every hit rebinds it from the caller's current profiles —
+// Schedule.Profiles[p] = profiles[Order[p]], the invariant the planner
+// builds schedules by. Profiles are rebuilt whenever a degradation event
+// stales a table, so an entry that kept its own would pin one generation of
+// cost tables per state it was planned in. Hits are otherwise deep copies:
+// plans are mutable (stream callers hand the schedule to the executor,
+// experiments rewrite stage rows), so cache and caller never alias.
 
 // planKey is the canonical window signature.
 type planKey = string
@@ -56,54 +69,26 @@ const (
 	modeFrontier   = "f"
 )
 
-// planSignature builds the canonical signature for a window of models
-// planned at the given SoC epoch under the fingerprinted options. mode is
-// the objective dimension (modeSinglePlan or modeFrontier): a frontier and
-// the single min-makespan plan for the same window are distinct cache
-// values with distinct keys.
-func planSignature(mode string, epoch uint64, optsFP string, models []*model.Model) planKey {
+// windowSignature builds the canonical signature for a window planned in
+// the SoC state with the given key under the fingerprinted options.
+// digests[i] is the content digest (model.Model.Digest) of the window's
+// i-th model. mode is the objective dimension (modeSinglePlan or
+// modeFrontier): a frontier and the single min-makespan plan for the same
+// window are distinct cache values with distinct keys.
+func windowSignature(mode string, state uint64, optsFP string, digests []uint64) planKey {
 	var b strings.Builder
-	b.Grow(len(mode) + len(optsFP) + 21 + 17*len(models))
+	var hex [16]byte
+	b.Grow(len(mode) + len(optsFP) + 18 + 17*len(digests))
 	b.WriteString(mode)
 	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(epoch, 16))
+	b.Write(strconv.AppendUint(hex[:0], state, 16))
 	b.WriteByte('|')
 	b.WriteString(optsFP)
-	for _, m := range models {
+	for _, d := range digests {
 		b.WriteByte('|')
-		b.WriteString(strconv.FormatUint(modelDigest(m), 16))
+		b.Write(strconv.AppendUint(hex[:0], d, 16))
 	}
 	return b.String()
-}
-
-// modelDigest is an FNV-1a content hash over every planner-relevant model
-// field: two models with equal digests are structurally identical up to
-// 64-bit hash collision, which the structural hit guard then rules out.
-func modelDigest(m *model.Model) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	ws := func(s string) {
-		wu(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-	ws(m.Name)
-	wu(uint64(m.InputBytes))
-	wu(uint64(len(m.Layers)))
-	for i := range m.Layers {
-		l := &m.Layers[i]
-		ws(l.Name)
-		wu(uint64(l.Kind))
-		wu(math.Float64bits(l.FLOPs))
-		wu(uint64(l.InputBytes))
-		wu(uint64(l.OutputBytes))
-		wu(uint64(l.WeightBytes))
-		wu(uint64(l.WorkingSetBytes))
-	}
-	return h.Sum64()
 }
 
 // optionsFingerprint canonicalises the Options fields that influence plan
@@ -115,8 +100,8 @@ func optionsFingerprint(o Options) string {
 	if o.Estimator != nil {
 		// Pointer identity: the estimator's weights are treated as immutable
 		// for the planner's lifetime, like the SoC description between
-		// epochs. Swapping in a new estimator means a new Planner (or an
-		// InvalidateCache call).
+		// BumpEpoch calls. Swapping in a new estimator means a new Planner
+		// (or an InvalidateCache call).
 		est = fmt.Sprintf("%p", o.Estimator)
 	}
 	// Beam fields steer which candidates get priced, and so the plan bytes;
@@ -132,12 +117,25 @@ func optionsFingerprint(o Options) string {
 // planEntry is one memoized value — a single plan or a whole frontier,
 // exactly one of the two set, matching the key's mode byte — plus the
 // ordered model identities backing its signature (the structural collision
-// guard).
+// guard). Stored plans are unbound: Schedule.Profiles is nil.
 type planEntry struct {
 	key      planKey
 	models   []*model.Model
 	plan     *Plan
 	frontier *Frontier
+}
+
+// matches reports whether the entry was planned for exactly this window.
+func (e *planEntry) matches(profiles []*profile.Profile) bool {
+	if len(e.models) != len(profiles) {
+		return false
+	}
+	for i, p := range profiles {
+		if !sameModel(e.models[i], p.Model()) {
+			return false
+		}
+	}
+	return true
 }
 
 // planCache is a bounded LRU of whole plans. All methods are safe for
@@ -166,21 +164,18 @@ func newPlanCache(capacity int, reg *obs.Registry) *planCache {
 	}
 }
 
-// get returns a deep copy of the memoized plan for key, or nil. models are
-// the window's ordered identities; a signature match with a structural
-// mismatch (a digest collision) counts as a miss.
-func (c *planCache) get(key planKey, models []*model.Model) *Plan {
+// lookup returns the entry memoized for key when it holds the wanted
+// value (a frontier, or a single plan) for the window, promoting it in LRU
+// order; nil otherwise. Either way it counts one hit or one miss.
+func (c *planCache) lookup(key planKey, profiles []*profile.Profile, frontier bool) *planEntry {
 	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
-		e := el.Value.(*planEntry)
-		if e.plan != nil && sameModels(e.models, models) {
+	if el, ok := c.entries[key]; ok {
+		if e := el.Value.(*planEntry); (e.frontier != nil) == frontier && e.matches(profiles) {
 			c.order.MoveToFront(el)
-			plan := deepCopyPlan(e.plan)
 			c.mu.Unlock()
 			c.hits.Add(1)
 			c.hitC.Inc()
-			return plan
+			return e
 		}
 	}
 	c.mu.Unlock()
@@ -189,46 +184,49 @@ func (c *planCache) get(key planKey, models []*model.Model) *Plan {
 	return nil
 }
 
-// getFrontier is get for whole-frontier entries: a deep copy of the
-// memoized frontier for key, or nil. Same LRU, same hit/miss counters —
-// one hit means one window's planning skipped, regardless of mode.
-func (c *planCache) getFrontier(key planKey, models []*model.Model) *Frontier {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
-		e := el.Value.(*planEntry)
-		if e.frontier != nil && sameModels(e.models, models) {
-			c.order.MoveToFront(el)
-			f := deepCopyFrontier(e.frontier)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			c.hitC.Inc()
-			return f
-		}
+// get returns a copy of the memoized plan for key bound to the caller's
+// profiles, or nil. Entries are immutable once stored, so the copy is made
+// outside the lock.
+func (c *planCache) get(key planKey, profiles []*profile.Profile) *Plan {
+	if e := c.lookup(key, profiles, false); e != nil {
+		return copyPlan(e.plan, profiles)
 	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	c.missC.Inc()
 	return nil
 }
 
-// put memoizes a private deep copy of plan under key, evicting the
+// getFrontier is get for whole-frontier entries. Same LRU, same hit/miss
+// counters — one hit means one window's planning skipped, regardless of
+// mode.
+func (c *planCache) getFrontier(key planKey, profiles []*profile.Profile) *Frontier {
+	if e := c.lookup(key, profiles, true); e != nil {
+		return copyFrontier(e.frontier, profiles)
+	}
+	return nil
+}
+
+// newEntry starts the entry for a window: the key and the window's model
+// identities.
+func newEntry(key planKey, profiles []*profile.Profile) *planEntry {
+	e := &planEntry{key: key, models: make([]*model.Model, len(profiles))}
+	for i, p := range profiles {
+		e.models[i] = p.Model()
+	}
+	return e
+}
+
+// put memoizes an unbound deep copy of plan under key, evicting the
 // least-recently-used entries beyond the capacity bound.
-func (c *planCache) put(key planKey, models []*model.Model, plan *Plan) {
-	c.putEntry(&planEntry{
-		key:    key,
-		models: append([]*model.Model(nil), models...),
-		plan:   deepCopyPlan(plan),
-	})
+func (c *planCache) put(key planKey, profiles []*profile.Profile, plan *Plan) {
+	e := newEntry(key, profiles)
+	e.plan = copyPlan(plan, nil)
+	c.putEntry(e)
 }
 
-// putFrontier memoizes a private deep copy of a whole frontier under key.
-func (c *planCache) putFrontier(key planKey, models []*model.Model, f *Frontier) {
-	c.putEntry(&planEntry{
-		key:      key,
-		models:   append([]*model.Model(nil), models...),
-		frontier: deepCopyFrontier(f),
-	})
+// putFrontier memoizes an unbound deep copy of a whole frontier under key.
+func (c *planCache) putFrontier(key planKey, profiles []*profile.Profile, f *Frontier) {
+	e := newEntry(key, profiles)
+	e.frontier = copyFrontier(f, nil)
+	c.putEntry(e)
 }
 
 func (c *planCache) putEntry(entry *planEntry) {
@@ -294,10 +292,14 @@ func sameModels(a, b []*model.Model) bool {
 	return true
 }
 
-// deepCopyPlan clones every mutable layer of a plan: the schedule's stage
-// rows (Schedule.Clone — SoC and profiles are shared, immutable between
-// epochs) and all index/score slices. Cache and caller never alias.
-func deepCopyPlan(p *Plan) *Plan {
+// copyPlan clones every mutable layer of a plan — the schedule's stage rows
+// (Schedule.Clone; the SoC is shared) and all index/score slices — and
+// binds the copy's schedule to profiles: Schedule.Profiles[pos] is
+// profiles[Order[pos]], the window's profiles in the plan's execution
+// order, in a backing array of the copy's own. nil profiles leave the copy
+// unbound (Schedule.Profiles nil), the form the cache stores. Cache and
+// caller never alias.
+func copyPlan(p *Plan, profiles []*profile.Profile) *Plan {
 	out := &Plan{
 		Order:               append([]int(nil), p.Order...),
 		Classes:             append([]contention.Class(nil), p.Classes...),
@@ -306,13 +308,13 @@ func deepCopyPlan(p *Plan) *Plan {
 	}
 	if p.Schedule != nil {
 		out.Schedule = p.Schedule.Clone()
-		// Clone shares the Profiles slice header (the profiles themselves are
-		// immutable, but the slice is not): give the copy its own backing
-		// array so a caller appending to or reordering a hit's Profiles —
-		// e.g. through a selected FrontierPoint — cannot reach the cached
-		// entry. Deliberately here and not in Schedule.Clone, which sits on
-		// the tail-search hot path where the extra allocation would cost.
-		out.Schedule.Profiles = append([]*profile.Profile(nil), p.Schedule.Profiles...)
+		out.Schedule.Profiles = nil
+		if profiles != nil {
+			out.Schedule.Profiles = make([]*profile.Profile, len(p.Order))
+			for pos, orig := range p.Order {
+				out.Schedule.Profiles[pos] = profiles[orig]
+			}
+		}
 	}
 	if p.Cuts != nil {
 		out.Cuts = make([]pipeline.Cuts, len(p.Cuts))
@@ -323,13 +325,13 @@ func deepCopyPlan(p *Plan) *Plan {
 	return out
 }
 
-// deepCopyFrontier clones every plan on the frontier (objectives and
-// candidate indices are values). Cache and caller never alias.
-func deepCopyFrontier(f *Frontier) *Frontier {
+// copyFrontier is copyPlan over every point of a frontier (objectives and
+// candidate indices are values).
+func copyFrontier(f *Frontier, profiles []*profile.Profile) *Frontier {
 	out := &Frontier{Points: make([]FrontierPoint, len(f.Points))}
 	for i, p := range f.Points {
 		out.Points[i] = FrontierPoint{
-			Plan:      deepCopyPlan(p.Plan),
+			Plan:      copyPlan(p.Plan, profiles),
 			Objective: p.Objective,
 			Candidate: p.Candidate,
 		}
@@ -348,8 +350,19 @@ func (pl *Planner) PlanCacheStats() (hits, misses uint64) {
 	return pl.planCache.stats()
 }
 
+// windowKey returns the signature of a window of profiles in the SoC's
+// current state, reading each model's digest from the cost cache.
+func (pl *Planner) windowKey(mode string, profiles []*profile.Profile) planKey {
+	var buf [8]uint64
+	digests := buf[:0]
+	for _, p := range profiles {
+		digests = append(digests, pl.cache.digest(p.Model()))
+	}
+	return windowSignature(mode, pl.soc.StateKey(), pl.optsFP, digests)
+}
+
 // HasCachedPlan reports whether a plan for the given window of models — in
-// window order, at the SoC's current degradation epoch, under this planner's
+// window order, in the SoC's current runtime state, under this planner's
 // options — is memoized right now. It is a pure peek: no LRU reordering, no
 // hit/miss accounting, so routing layers (the fleet's plan-cache affinity
 // policy) can probe candidate devices without skewing cache statistics.
@@ -358,5 +371,11 @@ func (pl *Planner) HasCachedPlan(models []*model.Model) bool {
 	if pl.planCache == nil {
 		return false
 	}
-	return pl.planCache.contains(planSignature(modeSinglePlan, pl.soc.Epoch(), pl.optsFP, models), models)
+	var digestBuf [8]uint64
+	digests := digestBuf[:0]
+	for _, m := range models {
+		digests = append(digests, pl.cache.digest(m))
+	}
+	key := windowSignature(modeSinglePlan, pl.soc.StateKey(), pl.optsFP, digests)
+	return pl.planCache.contains(key, models)
 }

@@ -145,10 +145,10 @@ func TestPlanCacheDeepCopyOnHit(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEpochInvalidation: a state-changing degradation event bumps
-// the SoC epoch, so the next identical window misses and replans on the
-// degraded tables — while a no-op event leaves the epoch (and the hit
-// stream) untouched.
+// TestPlanCacheEpochInvalidation: a state-changing degradation event moves
+// the SoC to a new state key, so the next identical window misses and
+// replans on the degraded tables — while a no-op event leaves the state
+// (and the hit stream) untouched.
 func TestPlanCacheEpochInvalidation(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newCachedPlanner(t, s, 4)
@@ -173,7 +173,7 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("after no-op event: hits=%d misses=%d, want 1/1 (still a hit)", h, m)
 	}
 
-	// Real throttle: epoch bump retires the signature.
+	// Real throttle: a new state, so a new signature.
 	affected, err = s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1.5})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 	}
 
 	// A bus squeeze stales no cost tables but still changes plans: it must
-	// bump the epoch and force a miss too.
+	// change the state key and force a miss too.
 	if _, err := s.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.6}); err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +201,10 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 	_ = degraded
 }
 
-// TestPlanCacheInvalidateFlush: InvalidateCache and a non-empty
-// InvalidateProcessors flush the plan cache; the empty processor set (a
-// no-op degradation event) must not.
+// TestPlanCacheInvalidateFlush: InvalidateCache flushes the plan cache;
+// InvalidateProcessors never does — with the empty set (a no-op
+// degradation event) or a non-empty one, the SoC state is unchanged, so
+// the window is still a hit.
 func TestPlanCacheInvalidateFlush(t *testing.T) {
 	pl := newCachedPlanner(t, soc.Kirin990(), 4)
 	models := mustModels(t, model.MobileNetV2, model.GoogLeNet)
@@ -225,13 +226,13 @@ func TestPlanCacheInvalidateFlush(t *testing.T) {
 		t.Error("empty InvalidateProcessors flushed the plan cache")
 	}
 
-	pl.InvalidateProcessors(0) // non-empty: flushes
-	if _, m := warm(); m != 2 {
-		t.Error("InvalidateProcessors(0) did not flush the plan cache")
+	pl.InvalidateProcessors(0) // non-empty, same SoC state: still a hit
+	if h, m := warm(); h != 3 || m != 1 {
+		t.Errorf("after InvalidateProcessors(0): hits=%d misses=%d, want 3/1 (the state is unchanged)", h, m)
 	}
 
 	pl.InvalidateCache() // full flush
-	if _, m := warm(); m != 3 {
+	if _, m := warm(); m != 2 {
 		t.Error("InvalidateCache did not flush the plan cache")
 	}
 	if n := pl.planCache.len(); n != 1 {
@@ -364,6 +365,17 @@ func TestDifferentialPlanCacheMatchesUncached(t *testing.T) {
 	}
 }
 
+// planSignature is the signature of a window of bare models, with each
+// digest computed afresh rather than read from the cost cache — the form the
+// key fuzzer drives.
+func planSignature(mode string, state uint64, optsFP string, models []*model.Model) planKey {
+	digests := make([]uint64, len(models))
+	for i, m := range models {
+		digests[i] = m.Digest()
+	}
+	return windowSignature(mode, state, optsFP, digests)
+}
+
 // fuzzModel synthesises a valid chain model deterministically from a seed:
 // tensor continuity is enforced by construction, operator kinds stay within
 // the NPU-supported set so the whole zoo of processors can take slices.
@@ -483,8 +495,8 @@ func FuzzPlanCacheKey(f *testing.F) {
 
 // TestPlanCacheHasCachedPlan: the affinity router's read-only peek must
 // report membership without counting as cache traffic, without promoting the
-// entry in LRU order, and must go stale with the degradation epoch like any
-// other signature.
+// entry in LRU order, and must go stale with the SoC state like any other
+// signature.
 func TestPlanCacheHasCachedPlan(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newCachedPlanner(t, s, 2)
@@ -526,12 +538,12 @@ func TestPlanCacheHasCachedPlan(t *testing.T) {
 		t.Error("expected windows B and C to survive the eviction")
 	}
 
-	// An epoch bump retires every signature.
+	// A state change retires every signature.
 	if _, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if pl.HasCachedPlan(winB) || pl.HasCachedPlan(winC) {
-		t.Error("plans survive a degradation epoch bump through the peek")
+		t.Error("plans survive a degradation state change through the peek")
 	}
 
 	// Cache disabled: always false, never a panic.

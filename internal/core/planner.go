@@ -41,7 +41,7 @@ type Options struct {
 	// kept as a fallback for custom SoCs without a trained model.
 	Estimator *contention.Estimator
 	// PlanCache, when positive, bounds an LRU memo of whole plans keyed by
-	// the canonical window signature (SoC degradation epoch + options
+	// the canonical window signature (SoC runtime-state key + options
 	// fingerprint + ordered model digests; see plancache.go). A window whose
 	// signature matches a memoized plan skips partition, mitigation, work
 	// stealing and the tail search entirely and receives a deep copy of the
@@ -143,7 +143,7 @@ type Planner struct {
 	soc   *soc.SoC
 	opts  Options
 	cache *costCache
-	// planCache memoizes whole plans behind the epoch-keyed window
+	// planCache memoizes whole plans behind the state-keyed window
 	// signature; nil when Options.PlanCache ≤ 0. optsFP is the planner's
 	// options fingerprint, computed once — it never changes after
 	// construction.
@@ -324,14 +324,9 @@ func (pl *Planner) PlanProfilesContext(ctx context.Context, profiles []*profile.
 		ctx, sp = obs.StartSpan(ctx, "plan", obs.Int("profiles", int64(len(profiles))))
 	}
 	var key planKey
-	var models []*model.Model
 	if pl.planCache != nil {
-		models = make([]*model.Model, len(profiles))
-		for i, p := range profiles {
-			models[i] = p.Model()
-		}
-		key = planSignature(modeSinglePlan, pl.soc.Epoch(), pl.optsFP, models)
-		if plan := pl.planCache.get(key, models); plan != nil {
+		key = pl.windowKey(modeSinglePlan, profiles)
+		if plan := pl.planCache.get(key, profiles); plan != nil {
 			sp.SetAttrs(obs.Str("plan_cache", "hit"))
 			sp.End()
 			wall := time.Since(start)
@@ -360,7 +355,7 @@ func (pl *Planner) PlanProfilesContext(ctx context.Context, profiles []*profile.
 		return nil, err
 	}
 	if pl.planCache != nil {
-		pl.planCache.put(key, models, plan)
+		pl.planCache.put(key, profiles, plan)
 	}
 	wall := time.Since(start)
 	pl.mPlans.Inc()
@@ -411,7 +406,7 @@ func (pl *Planner) PlanFrontierProfiles(profiles []*profile.Profile) (*Frontier,
 // candidate sweep under a cancellable context. Each call runs under a
 // "plan" span with objective="frontier" and a frontier_size attribute.
 // With Options.PlanCache enabled whole frontiers are memoized alongside
-// single plans under the same epoch/options/digest signature with a
+// single plans under the same state/options/digest signature with a
 // distinct objective-mode dimension, so the two modes never collide; hits
 // return a deep copy. The frontier's first point (min makespan, lowest
 // candidate index) is byte-identical to PlanProfilesContext's plan —
@@ -425,14 +420,9 @@ func (pl *Planner) PlanFrontierProfilesContext(ctx context.Context, profiles []*
 			obs.Int("profiles", int64(len(profiles))), obs.Str("objective", "frontier"))
 	}
 	var key planKey
-	var models []*model.Model
 	if pl.planCache != nil {
-		models = make([]*model.Model, len(profiles))
-		for i, p := range profiles {
-			models[i] = p.Model()
-		}
-		key = planSignature(modeFrontier, pl.soc.Epoch(), pl.optsFP, models)
-		if f := pl.planCache.getFrontier(key, models); f != nil {
+		key = pl.windowKey(modeFrontier, profiles)
+		if f := pl.planCache.getFrontier(key, profiles); f != nil {
 			sp.SetAttrs(obs.Str("plan_cache", "hit"), obs.Int("frontier_size", int64(f.Size())))
 			sp.End()
 			wall := time.Since(start)
@@ -466,7 +456,7 @@ func (pl *Planner) PlanFrontierProfilesContext(ctx context.Context, profiles []*
 		return nil, err
 	}
 	if pl.planCache != nil {
-		pl.planCache.putFrontier(key, models, f)
+		pl.planCache.putFrontier(key, profiles, f)
 	}
 	wall := time.Since(start)
 	pl.mPlans.Inc()

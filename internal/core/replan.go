@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,8 +51,9 @@ import (
 // Entries are immutable once published: a resume allocates fresh rows for
 // the recomputed stages and shares the read-only prefix, so concurrent
 // planning fan-outs never observe a half-written table. The memo survives
-// InvalidateProcessors (that is its purpose — the journal reconciles) and
-// is dropped by InvalidateCache alongside everything else.
+// InvalidateProcessors (that is its purpose — the journal reconciles),
+// which only releases the invalidated stages' table references, and is
+// dropped by InvalidateCache alongside everything else.
 
 // partitionEntry is one model's memoized DP state.
 type partitionEntry struct {
@@ -61,7 +63,8 @@ type partitionEntry struct {
 	// filled at.
 	epoch uint64
 	// tables[s] is the cost-table object stage s's row was computed
-	// against — the pointer-identity reuse guard.
+	// against — the pointer-identity reuse guard. InvalidateProcessors
+	// clears the invalidated stages' slots (see dropTables).
 	tables []*profile.Table
 	// rows[s][j+1] = S*(j, s); rows[s][0] is the empty prefix.
 	rows [][]float64
@@ -78,28 +81,52 @@ type partitionEntry struct {
 // methods are safe for concurrent use.
 type partitionMemo struct {
 	mu      sync.Mutex
-	entries map[string]*partitionEntry
+	entries map[modelKey]*partitionEntry
 }
 
 func newPartitionMemo() *partitionMemo {
-	return &partitionMemo{entries: make(map[string]*partitionEntry)}
+	return &partitionMemo{entries: make(map[modelKey]*partitionEntry)}
 }
 
-func (pm *partitionMemo) lookup(key string) *partitionEntry {
+func (pm *partitionMemo) lookup(key modelKey) *partitionEntry {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	return pm.entries[key]
 }
 
-func (pm *partitionMemo) store(key string, e *partitionEntry) {
+func (pm *partitionMemo) store(key modelKey, e *partitionEntry) {
 	pm.mu.Lock()
 	pm.entries[key] = e
 	pm.mu.Unlock()
 }
 
+// dropTables clears the given stages' slots in every entry. Those stages'
+// tables were just invalidated and the cost cache never hands them out
+// again, so keeping the references would only hold replaced tables alive
+// until the model next misses the plan cache (a caller still holding an old
+// table merely refills from that stage). Entries are replaced, not mutated
+// (see the immutability note above).
+func (pm *partitionMemo) dropTables(stages []int) {
+	if len(stages) == 0 {
+		return
+	}
+	pm.mu.Lock()
+	for key, e := range pm.entries {
+		c := *e
+		c.tables = slices.Clone(e.tables)
+		for _, s := range stages {
+			if s >= 0 && s < len(c.tables) {
+				c.tables[s] = nil
+			}
+		}
+		pm.entries[key] = &c
+	}
+	pm.mu.Unlock()
+}
+
 func (pm *partitionMemo) invalidate() {
 	pm.mu.Lock()
-	pm.entries = make(map[string]*partitionEntry)
+	pm.entries = make(map[modelKey]*partitionEntry)
 	pm.mu.Unlock()
 }
 

@@ -162,7 +162,7 @@ func (d *Device) Live() bool {
 }
 
 // HasCachedPlan reports whether the device's planner holds a memoized plan
-// for the given window of models at its current degradation epoch — the
+// for the given window of models in its SoC's current runtime state — the
 // read-only peek behind the plan-cache affinity policy.
 func (d *Device) HasCachedPlan(models []*model.Model) bool {
 	return d.planner.HasCachedPlan(models)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -397,5 +398,43 @@ func TestDeviceRunInheritsDefaults(t *testing.T) {
 	}
 	if !dev2.Live() {
 		t.Error("device with throttle-only timeline reported dead")
+	}
+}
+
+// TestPolicyHashRingReuse: the hash ring is a pure function of the device
+// names, so Reset keeps it (and the routes it gives) while the names are
+// unchanged and rebuilds it when they change — for the hash policy and for
+// the affinity policy that embeds it.
+func TestPolicyHashRingReuse(t *testing.T) {
+	devices := []*Device{
+		testDevice(t, "dev0", nil, nil),
+		testDevice(t, "dev1", nil, nil),
+		testDevice(t, "dev2", nil, nil),
+	}
+	renamed := []*Device{devices[0], devices[1], testDevice(t, "dev9", nil, nil)}
+	hp := &hashPolicy{}
+	ap := &affinityPolicy{}
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		hash   *hashPolicy
+	}{{PolicyHash, hp, hp}, {PolicyAffinity, ap, &ap.hash}} {
+		tc.policy.Reset(devices)
+		ring := tc.hash.ring
+		tc.policy.Reset(devices)
+		if tc.hash.ring != ring {
+			t.Errorf("%s: Reset with unchanged names rebuilt the ring", tc.name)
+		}
+		tc.policy.Reset(renamed)
+		if tc.hash.ring == ring {
+			t.Fatalf("%s: Reset with a renamed device kept the old ring", tc.name)
+		}
+		if !reflect.DeepEqual(tc.hash.ring, NewRing([]string{"dev0", "dev1", "dev9"})) {
+			t.Errorf("%s: ring after renaming differs from a fresh ring over the new names", tc.name)
+		}
+		tc.policy.Reset(devices[:2])
+		if len(tc.hash.ring.points) != 2*ringReplicas {
+			t.Errorf("%s: ring after shrinking has %d points, want %d", tc.name, len(tc.hash.ring.points), 2*ringReplicas)
+		}
 	}
 }

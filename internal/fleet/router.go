@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"time"
 
@@ -137,6 +138,9 @@ func requestKey(m *model.Model, seq int) uint64 {
 // hashPolicy shards by consistent hashing over (model, sequence) keys.
 type hashPolicy struct {
 	ring *Ring
+	// names are the device names ring was built from. The ring is a pure
+	// function of them, so Reset rebuilds it only when they change.
+	names []string
 }
 
 // NewHashPolicy returns the consistent-hashing policy: stateless per
@@ -150,7 +154,10 @@ func (p *hashPolicy) Reset(devices []*Device) {
 	for i, d := range devices {
 		names[i] = deviceRingName(d, i)
 	}
-	p.ring = NewRing(names)
+	if p.ring != nil && slices.Equal(names, p.names) {
+		return
+	}
+	p.ring, p.names = NewRing(names), names
 }
 
 func (p *hashPolicy) Route(m *model.Model, seq int, live []int, devices []*Device) int {

@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Layer is one node of a network's layer chain. Hetero²Pipe partitions
@@ -85,6 +86,42 @@ type Model struct {
 
 // NumLayers returns the length of the layer chain.
 func (m *Model) NumLayers() int { return len(m.Layers) }
+
+// Digest returns an FNV-1a content hash over every field of the model: two
+// models with equal digests are structurally identical up to a 64-bit hash
+// collision. It costs O(n); the planner's cost cache computes it once per
+// model and hot paths read that copy.
+func (m *Model) Digest() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	word := func(v uint64) {
+		for i := 0; i < 64; i += 8 {
+			h ^= (v >> i) & 0xff
+			h *= prime
+		}
+	}
+	str := func(s string) {
+		word(uint64(len(s)))
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= prime
+		}
+	}
+	str(m.Name)
+	word(uint64(m.InputBytes))
+	word(uint64(len(m.Layers)))
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		str(l.Name)
+		word(uint64(l.Kind))
+		word(math.Float64bits(l.FLOPs))
+		word(uint64(l.InputBytes))
+		word(uint64(l.OutputBytes))
+		word(uint64(l.WeightBytes))
+		word(uint64(l.WorkingSetBytes))
+	}
+	return h
+}
 
 // TotalFLOPs returns the per-inference FLOP count of the whole network.
 func (m *Model) TotalFLOPs() float64 {

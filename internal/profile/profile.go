@@ -158,20 +158,6 @@ func FromTables(s *soc.SoC, m *model.Model, reuse []*Table) (*Profile, error) {
 	return p, nil
 }
 
-// measureTable builds the cost table of one model on one processor — the
-// O(n) measurement unit the cost cache memoizes and invalidates.
-func measureTable(proc *soc.Processor, m *model.Model) *Table {
-	n := m.NumLayers()
-	t := &Table{
-		proc:        proc,
-		timePrefix:  make([]time.Duration, n+1),
-		busPrefix:   make([]float64, n+1),
-		unsupPrefix: make([]int, n+1),
-	}
-	measureTableInto(t, m)
-	return t
-}
-
 // measureTableInto fills a pre-allocated table (proc set, prefix slices
 // sized n+1) with the model's prefix-summed solo costs.
 func measureTableInto(t *Table, m *model.Model) {

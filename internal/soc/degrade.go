@@ -2,6 +2,7 @@ package soc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -46,8 +47,24 @@ func (d Degradation) LatencyFactor() float64 {
 	return f
 }
 
+// nominalFactor maps a zero derating field — "nominal" — to the factor 1
+// that sets the same state explicitly.
+func nominalFactor(f float64) float64 {
+	if f == 0 {
+		return 1
+	}
+	return f
+}
+
+// finite reports whether f is neither NaN nor infinite. NaN slips through
+// every ordered comparison, so range checks must test it first.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // Validate reports the first configuration problem, or nil.
 func (d Degradation) Validate() error {
+	if !finite(d.ThrottleFactor) || !finite(d.FreqFraction) {
+		return fmt.Errorf("non-finite derating (throttle %g, frequency %g)", d.ThrottleFactor, d.FreqFraction)
+	}
 	if d.ThrottleFactor != 0 && d.ThrottleFactor < 1 {
 		return fmt.Errorf("throttle factor %g below 1", d.ThrottleFactor)
 	}
@@ -122,6 +139,12 @@ type Event struct {
 // Processor existence is checked by Apply against a concrete SoC.
 func (ev Event) Validate() error {
 	switch ev.Kind {
+	case EventThermalThrottle, EventFrequencyScale, EventBandwidthSqueeze:
+		if !finite(ev.Factor) {
+			return fmt.Errorf("soc: %s event factor %g not finite", ev.Kind, ev.Factor)
+		}
+	}
+	switch ev.Kind {
 	case EventThermalThrottle:
 		if ev.Factor < 1 {
 			return fmt.Errorf("soc: throttle event factor %g below 1", ev.Factor)
@@ -175,26 +198,20 @@ func (ev Event) String() string {
 // An event that restates the current state (an online event for a processor
 // already in service, a throttle re-asserting the active factor, a bus
 // squeeze at the current derate) is a no-op: it stales nothing, returns no
-// indices and leaves the degradation epoch untouched, so downstream caches
-// keyed on Epoch keep their entries. Every state-changing Apply bumps the
-// epoch — including bandwidth squeezes, which change the co-execution
-// slowdown model (and therefore any memoized plan) even though no solo cost
-// table goes stale.
+// indices and leaves the degradation epoch untouched, so incremental
+// consumers see nothing to redo. Every state-changing Apply bumps the epoch
+// — including bandwidth squeezes, which change the co-execution slowdown
+// model (and therefore the plan) even though no solo cost table goes stale.
+// The epoch only moves forward; StateKey is what returns to an earlier value
+// when an event restores an earlier state.
 func (s *SoC) Apply(ev Event) ([]int, error) {
 	if err := ev.Validate(); err != nil {
 		return nil, err
 	}
-	// A zero derating field means "nominal", the same state factor 1 sets
-	// explicitly; normalise before comparing so clearing an unset knob is
+	// Compare against the normalised field so clearing an unset knob is
 	// recognised as a no-op.
-	nominal := func(f float64) float64 {
-		if f == 0 {
-			return 1
-		}
-		return f
-	}
 	if ev.Kind == EventBandwidthSqueeze {
-		if nominal(s.BusDerate) == ev.Factor {
+		if nominalFactor(s.BusDerate) == ev.Factor {
 			return nil, nil
 		}
 		s.BusDerate = ev.Factor
@@ -215,12 +232,12 @@ func (s *SoC) Apply(ev Event) ([]int, error) {
 	p := &s.Processors[idx]
 	switch ev.Kind {
 	case EventThermalThrottle:
-		if nominal(p.Degrade.ThrottleFactor) == ev.Factor {
+		if nominalFactor(p.Degrade.ThrottleFactor) == ev.Factor {
 			return nil, nil
 		}
 		p.Degrade.ThrottleFactor = ev.Factor
 	case EventFrequencyScale:
-		if nominal(p.Degrade.FreqFraction) == ev.Factor {
+		if nominalFactor(p.Degrade.FreqFraction) == ev.Factor {
 			return nil, nil
 		}
 		p.Degrade.FreqFraction = ev.Factor

@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -190,6 +191,60 @@ func TestEventValidate(t *testing.T) {
 	s := Kirin990()
 	if _, err := s.Apply(Event{Kind: EventProcessorOffline, Processor: "no-such-unit"}); err == nil {
 		t.Error("unknown processor accepted")
+	}
+}
+
+// TestEventValidateNonFinite: a NaN factor fails every ordered comparison,
+// so the range checks alone let it through, and +Inf passes the throttle's
+// lower bound. Factors now feed the state key the plan cache is keyed on,
+// so every factor-bearing kind must reject both — and so must a
+// processor's Degradation and the bus derate that Apply would write them
+// into.
+func TestEventValidateNonFinite(t *testing.T) {
+	for _, kind := range []EventKind{EventThermalThrottle, EventFrequencyScale, EventBandwidthSqueeze} {
+		proc := "gpu"
+		if kind == EventBandwidthSqueeze {
+			proc = ""
+		}
+		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			ev := Event{Kind: kind, Processor: proc, Factor: f}
+			if err := ev.Validate(); err == nil {
+				t.Errorf("%s event with factor %g validated", kind, f)
+			}
+			if _, err := Kirin990().Apply(ev); err == nil {
+				t.Errorf("%s event with factor %g applied", kind, f)
+			}
+		}
+	}
+	for _, d := range []Degradation{
+		{ThrottleFactor: math.NaN()},
+		{ThrottleFactor: math.Inf(1)},
+		{FreqFraction: math.NaN()},
+	} {
+		if err := d.Validate(); err == nil {
+			t.Errorf("degradation %+v validated", d)
+		}
+	}
+	s := Kirin990()
+	s.BusDerate = math.NaN()
+	if err := s.Validate(); err == nil {
+		t.Error("NaN bus derate validated")
+	}
+}
+
+// TestParseEventsNonFinite: the %g scanner reads "NaN" and "+Inf", so the
+// parser must hand them to the same validation as any other factor.
+func TestParseEventsNonFinite(t *testing.T) {
+	for _, spec := range []string{
+		"throttle:gpu@1ms:NaN",
+		"throttle:gpu@1ms:+Inf",
+		"freq:gpu@1ms:NaN",
+		"bus@1ms:NaN",
+		"offline:npu@1ms, bus@2ms:+Inf",
+	} {
+		if evs, err := ParseEvents(spec); err == nil {
+			t.Errorf("ParseEvents(%q) = %v, want an error", spec, evs)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package soc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -251,14 +252,18 @@ type SoC struct {
 
 	// epoch is the monotonic degradation-epoch counter: every Apply that
 	// actually changes the SoC's runtime state (throttle, frequency,
-	// offline/online, bus squeeze) increments it, so any state derived from
-	// the SoC description — most importantly memoized whole plans — can
-	// carry the epoch as a cheap validity token instead of re-hashing the
-	// description. A no-op Apply (the event restates the current state)
-	// leaves the epoch untouched. Mutations that bypass Apply must call
-	// BumpEpoch themselves; reads and writes follow the same
-	// single-writer discipline as every other SoC field.
+	// offline/online, bus squeeze) increments it, so state derived from the
+	// SoC along a run — the partition memo, the router's solo estimates —
+	// can carry the epoch as a cheap "nothing changed since" token. A no-op
+	// Apply (the event restates the current state) leaves the epoch
+	// untouched. Mutations that bypass Apply must call BumpEpoch
+	// themselves; reads and writes follow the same single-writer discipline
+	// as every other SoC field.
 	epoch uint64
+	// generation counts BumpEpoch calls only: the description-change
+	// dimension of StateKey. Apply never advances it, so a runtime state
+	// the SoC returns to keeps its key.
+	generation uint64
 	// journal is the bounded log of per-epoch deltas behind AffectedSince:
 	// entry i records what the epoch bump to journal[i].epoch changed. Apply
 	// appends the affected processor set (empty for bus squeezes); BumpEpoch
@@ -336,19 +341,55 @@ func (s *SoC) AffectedSince(since uint64) (procs []int, busChanged bool, ok bool
 // Epoch returns the SoC's degradation epoch — the monotonic counter of
 // state-changing Apply calls (plus manual BumpEpoch calls). Two reads
 // returning the same value bracket a span in which no degradation event
-// altered the SoC, which is what makes the epoch usable as a plan-cache
-// validity token.
+// altered the SoC; together with AffectedSince it tells incremental
+// consumers what changed in between. It says nothing about whether two
+// distinct epochs are the same state — StateKey does.
 func (s *SoC) Epoch() uint64 { return s.epoch }
 
 // BumpEpoch advances the degradation epoch by hand — required after
 // mutating the SoC description in place without going through Apply
-// (frequency sweeps, thermal experiments), so epoch-keyed caches cannot
-// serve plans computed against the pre-mutation description. The journal
-// records the bump as a wildcard delta: AffectedSince answers "unknown"
-// across it, so incremental consumers conservatively recompute in full.
+// (frequency sweeps, thermal experiments). It also advances the
+// generation StateKey covers, so state-keyed caches cannot serve plans
+// computed against the pre-mutation description even when every
+// degradation field is unchanged. The journal records the bump as a
+// wildcard delta: AffectedSince answers "unknown" across it, so
+// incremental consumers conservatively recompute in full.
 func (s *SoC) BumpEpoch() {
 	s.epoch++
+	s.generation++
 	s.recordDelta(epochDelta{wild: true})
+}
+
+// StateKey returns the SoC's runtime-state key: a 64-bit FNV-1a hash of
+// the BumpEpoch generation, the bus derate, and each processor's offline
+// flag, throttle factor and frequency fraction. An unset (zero) factor is
+// hashed as its nominal 1 — the rule Apply uses — so a knob never set and
+// a knob cleared with factor 1 are one state. Unlike Epoch, the key is a
+// function of the state itself: a SoC that throttles and then recovers is
+// back at its pre-throttle key. It is computed from the fields on every
+// call (O(K)), so a Degrade write that bypasses Apply still changes it.
+func (s *SoC) StateKey() uint64 {
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	word := func(v uint64) {
+		for i := 0; i < 64; i += 8 {
+			h ^= (v >> i) & 0xff
+			h *= 1099511628211 // FNV-1a prime
+		}
+	}
+	factor := func(f float64) { word(math.Float64bits(nominalFactor(f))) }
+	word(s.generation)
+	factor(s.BusDerate)
+	for i := range s.Processors {
+		d := &s.Processors[i].Degrade
+		var off uint64
+		if d.Offline {
+			off = 1
+		}
+		word(off)
+		factor(d.ThrottleFactor)
+		factor(d.FreqFraction)
+	}
+	return h
 }
 
 // EffectiveBusBandwidthGBps returns the shared-bus capacity after any
@@ -431,7 +472,7 @@ func (s *SoC) Validate() error {
 			return fmt.Errorf("soc %q memory frequency levels not increasing", s.Name)
 		}
 	}
-	if s.BusDerate != 0 && (s.BusDerate <= 0 || s.BusDerate > 1) {
+	if s.BusDerate != 0 && !(s.BusDerate > 0 && s.BusDerate <= 1) { // NaN fails both
 		return fmt.Errorf("soc %q bus derate %g outside (0,1]", s.Name, s.BusDerate)
 	}
 	return nil

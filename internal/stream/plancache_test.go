@@ -60,9 +60,10 @@ func canonicalRun(t *testing.T, res *Result, rec *obs.SpanRecorder) string {
 }
 
 // TestDifferentialStreamPlanCache: whole online runs — including randomized
-// degradation event streams and a crafted mid-window interrupt — must be
-// byte-identical with the plan cache on and off. The cache may only change
-// planning wall time, never anything on the virtual clock.
+// degradation event streams, a crafted mid-window interrupt and a cycle
+// back to nominal replayed over several Run calls — must be byte-identical
+// with the plan cache on and off. The cache may only change planning wall
+// time, never anything on the virtual clock.
 func TestDifferentialStreamPlanCache(t *testing.T) {
 	names := []string{
 		model.ResNet50, model.SqueezeNet, model.GoogLeNet,
@@ -161,6 +162,63 @@ func TestDifferentialStreamPlanCache(t *testing.T) {
 			}
 		})
 	}
+
+	// A degradation cycle that returns the SoC to nominal — the churn
+	// benchmark's shape — replayed by one scheduler over several Run calls.
+	// Every run revisits the states of the run before, so from the second
+	// run on the state-keyed plan cache serves windows on both sides of each
+	// event; every virtual-clock observable must still match the uncached
+	// scheduler's, run for run.
+	t.Run("nominal-cycle-multi-run", func(t *testing.T) {
+		cfg := baseCfg
+		restore := 4 * span / 5
+		cfg.Events = []soc.Event{
+			{Kind: soc.EventThermalThrottle, Processor: "cpu-big", At: span / 5, Factor: 1.5},
+			{Kind: soc.EventFrequencyScale, Processor: "gpu", At: 2 * span / 5, Factor: 0.7},
+			{Kind: soc.EventBandwidthSqueeze, At: 3 * span / 5, Factor: 0.8},
+			{Kind: soc.EventThermalThrottle, Processor: "cpu-big", At: restore, Factor: 1},
+			{Kind: soc.EventFrequencyScale, Processor: "gpu", At: restore, Factor: 1},
+			{Kind: soc.EventBandwidthSqueeze, At: restore, Factor: 1},
+		}
+		nominal := soc.Kirin990().StateKey()
+
+		const runs = 3
+		runAll := func(capacity int) ([]*Result, string) {
+			s := newPlanCacheScheduler(t, cfg, capacity)
+			results := make([]*Result, runs)
+			var b strings.Builder
+			for r := range results {
+				rec := obs.NewSpanRecorder(0)
+				ctx := obs.ContextWithRecorder(context.Background(), rec)
+				res, err := s.RunContext(ctx, burstRequests(t, names...), pipeline.DefaultOptions())
+				if err != nil {
+					t.Fatalf("plan cache %d, run %d: %v", capacity, r, err)
+				}
+				if res.EventsApplied != len(cfg.Events) {
+					t.Fatalf("plan cache %d, run %d: applied %d of %d events", capacity, r, res.EventsApplied, len(cfg.Events))
+				}
+				if got := s.planner.SoC().StateKey(); got != nominal {
+					t.Fatalf("plan cache %d, run %d: SoC did not end at nominal", capacity, r)
+				}
+				results[r] = res
+				fmt.Fprintf(&b, "--- run %d\n%s", r, canonicalRun(t, res, rec))
+			}
+			return results, b.String()
+		}
+		_, want := runAll(0)
+		cached, got := runAll(16)
+		if got != want {
+			t.Fatalf("cached runs diverged from uncached:\n--- cached ---\n%s--- uncached ---\n%s", got, want)
+		}
+		// Each later run replays the first one's windows in the first one's
+		// states, so each of its windows is served from the cache.
+		for r := 1; r < runs; r++ {
+			if res := cached[r]; res.PlanCacheHits != uint64(res.Windows) || res.PlanCacheMisses != 0 {
+				t.Errorf("run %d: plan cache hits=%d misses=%d over %d windows, want every window a hit",
+					r, res.PlanCacheHits, res.PlanCacheMisses, res.Windows)
+			}
+		}
+	})
 }
 
 // TestStreamDegradationNoOpEventsKeepPlanCache is the regression test for

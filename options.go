@@ -54,13 +54,15 @@ func WithParallelism(n int) Option {
 }
 
 // WithPlanCache bounds an LRU memo of whole plans keyed by the canonical
-// window signature (SoC degradation epoch + planner options fingerprint +
+// window signature (SoC runtime-state key + planner options fingerprint +
 // ordered model digests): a window whose signature matches a memoized plan
 // skips the entire two-step optimisation and receives a deep copy,
-// byte-identical to replanning. The cache empties on any state-changing
-// degradation event (the epoch bump retires every prior signature), so it
-// pays off in the steady state — recurring request mixes against a stable
-// SoC. n ≤ 0 disables the cache (the default).
+// byte-identical to replanning. The state key is computed from the SoC's
+// current derating (throttle, frequency, offline, bus), so degradation
+// events flush nothing: each state has its own entries, and a SoC that
+// returns to an earlier state — a governor cycling between a few operating
+// points — is served that state's plans again. It pays off whenever request
+// mixes and SoC states recur. n ≤ 0 disables the cache (the default).
 func WithPlanCache(n int) Option {
 	return optionFunc(func(c *config) { c.planner.PlanCache = n })
 }
