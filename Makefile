@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-beam exec-pool
+.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss loc fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-beam exec-pool
 
 ## check: the tier-1 gate — everything a PR must keep green.
 check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api bench-smoke bench-exec
@@ -114,11 +114,19 @@ bench-diff:
 	$(eval NEW ?= $(shell ls BENCH_*.json | sort | tail -1))
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
-## bench-miss: the replan miss-path pair — incremental prefix-resumed
-## replanning vs from-scratch refills after a single-processor degradation.
-## The Incremental row's ns/op should sit well below the Full row's.
+## bench-miss: the replan miss path — a single-processor degradation
+## followed by a replan that resumes each partition DP below the affected
+## stage.
 bench-miss:
-	$(GO) test -run xxx -bench 'BenchmarkReplanMiss(Incremental|Full)' -benchmem -count=5 .
+	$(GO) test -run xxx -bench 'BenchmarkReplanMissIncremental' -benchmem -count=5 .
+
+## loc: the size figures a simplicity change reports — non-test Go lines of
+## the root module (perfbench/ is its own module and is left out), test
+## lines, and api.txt lines. Counts tracked and untracked, non-ignored files.
+loc:
+	@echo "non-test Go LOC: $$(git ls-files -co --exclude-standard -- '*.go' ':!perfbench' ':!*_test.go' | xargs cat | wc -l)"
+	@echo "test Go LOC:     $$(git ls-files -co --exclude-standard -- '*_test.go' ':!perfbench' | xargs cat | wc -l)"
+	@echo "api.txt lines:   $$(wc -l < api.txt)"
 
 ## fuzz: a short run of the parallel-vs-sequential differential fuzz target.
 fuzz:

@@ -405,18 +405,14 @@ func BenchmarkStreamChurnNoPlanCache(b *testing.B) {
 	benchStreamRun(b, 0, benchChurnEvents(b))
 }
 
-// benchReplanMiss drives the replan miss path: every iteration throttles the
-// last-capability processor (alternating factor so each apply is a real
-// state change), invalidates its cost tables, and replans the window. With
-// incremental replanning the partition DP resumes from the memoized prefix
-// rows below the affected stage; without it every table refills from
-// scratch. The Incremental/Full pair is the tentpole's headline saving —
-// compare their ns/op under `make bench-miss`.
-func benchReplanMiss(b *testing.B, incremental bool) {
+// BenchmarkReplanMissIncremental drives the replan miss path: every
+// iteration throttles the last-capability processor (alternating factor so
+// each apply is a real state change), invalidates its cost tables, and
+// replans the window. The partition DP resumes from the memoized prefix
+// rows below the affected stage. Run it with `make bench-miss`.
+func BenchmarkReplanMissIncremental(b *testing.B) {
 	s := soc.Kirin990()
-	opts := core.DefaultOptions()
-	opts.IncrementalReplan = incremental
-	pl, err := core.NewPlanner(s, opts)
+	pl, err := core.NewPlanner(s, core.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -445,9 +441,6 @@ func benchReplanMiss(b *testing.B, incremental bool) {
 		}
 	}
 }
-
-func BenchmarkReplanMissIncremental(b *testing.B) { benchReplanMiss(b, true) }
-func BenchmarkReplanMissFull(b *testing.B)        { benchReplanMiss(b, false) }
 
 // BenchmarkPlannerBeamWidth2 prunes the six-model candidate sweep to a
 // two-wide beam (ε = 0.1) — compare against BenchmarkPlannerParallelism1 for

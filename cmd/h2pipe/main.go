@@ -74,7 +74,6 @@ func run(ctx context.Context, args []string) error {
 		fleetN     = fs.Int("fleet", 0, "shard the -stream run across N devices (device 0 is -soc, the rest cycle the mobile presets; 0 disables)")
 		policyName = fs.String("policy", "hash", "fleet routing policy: hash, least-sojourn or affinity")
 		planCache  = fs.Int("plan-cache", 0, "memoize up to N whole plans keyed by SoC state + window signature (0 disables); windows whose mix and SoC state recur skip the planner entirely")
-		noIncr     = fs.Bool("no-incremental", false, "disable incremental replanning (always refill every partition DP from scratch after degradation events)")
 		beamWidth  = fs.Int("beam", 0, "beam width: prune the candidate sweep to the N best-proxy orderings, escalating until within (1+beam-eps) of the exact makespan (0 = exact sweep)")
 		beamEps    = fs.Float64("beam-eps", 0, "beam regret tolerance epsilon: escalation stops once the best plan is provably within (1+eps)x of the exact sweep's makespan")
 		planDL     = fs.Duration("plan-deadline", 0, "wall-clock budget per window's candidate sweep; on expiry the best plan priced so far wins (voids determinism and the beam bound; 0 disarms)")
@@ -143,7 +142,6 @@ func run(ctx context.Context, args []string) error {
 	opts.WorkStealing = !*noSteal
 	opts.TailOptimization = !*noTail
 	opts.PlanCache = *planCache
-	opts.IncrementalReplan = !*noIncr
 	opts.BeamWidth = *beamWidth
 	opts.BeamEpsilon = *beamEps
 	opts.AnytimeDeadline = *planDL

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"hetero2pipe/internal/core"
+	"hetero2pipe/internal/stream"
 )
 
 // Sentinel errors for the facade. Every error returned by System wraps one
@@ -28,6 +29,11 @@ var (
 	// grammar (latency-critical, balanced, battery-saver, custom:w,w,w,w).
 	// Aliases the core sentinel so both layers match with errors.Is.
 	ErrUnknownSLOClass = core.ErrUnknownSLOClass
+	// ErrInvalidRequest: RunStream or RunFleet was given a request stream
+	// it cannot serve — a StreamRequest with a nil Model, or arrivals out
+	// of order. Aliases the stream sentinel so both layers match with
+	// errors.Is.
+	ErrInvalidRequest = stream.ErrInvalidRequest
 )
 
 // wrapRunErr lifts internal failure modes onto the facade sentinels while

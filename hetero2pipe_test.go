@@ -2,6 +2,7 @@ package hetero2pipe_test
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -115,4 +116,34 @@ func TestFacadeStream(t *testing.T) {
 	if len(res.Completions) != 3 || res.Windows < 1 {
 		t.Fatalf("stream result %+v", res)
 	}
+}
+
+// TestFacadeRejectsNilModelRequest feeds a stream whose middle request has
+// no model through both serving entry points: each must return
+// ErrInvalidRequest before routing or planning touches the request, not
+// panic on the nil dereference.
+func TestFacadeRejectsNilModelRequest(t *testing.T) {
+	requests := []hetero2pipe.StreamRequest{
+		{Model: model.MustByName(model.SqueezeNet), Arrival: 0},
+		{Arrival: time.Millisecond},
+		{Model: model.MustByName(model.ResNet50), Arrival: 2 * time.Millisecond},
+	}
+	t.Run("stream", func(t *testing.T) {
+		sys, err := hetero2pipe.NewSystem("Kirin990")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RunStream(requests, stream.DefaultConfig()); !errors.Is(err, hetero2pipe.ErrInvalidRequest) {
+			t.Fatalf("RunStream error = %v, want ErrInvalidRequest", err)
+		}
+	})
+	t.Run("fleet", func(t *testing.T) {
+		sys, err := hetero2pipe.NewSystem("Kirin990", hetero2pipe.WithFleet(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RunFleet(requests); !errors.Is(err, hetero2pipe.ErrInvalidRequest) {
+			t.Fatalf("RunFleet error = %v, want ErrInvalidRequest", err)
+		}
+	})
 }

@@ -247,12 +247,9 @@ func (pl *Planner) InvalidateCache() {
 	if pl.planCache != nil {
 		pl.planCache.invalidate()
 	}
-	if pl.partMemo != nil {
-		// The partition memo's rows were computed against the dropped tables;
-		// after an untracked SoC mutation its pointer-identity guard would
-		// correctly refuse them anyway, but reclaim the memory now.
-		pl.partMemo.invalidate()
-	}
+	// The partition memo's rows were computed against the dropped tables,
+	// which its identity guard would refuse anyway; reclaim the memory now.
+	pl.partMemo.invalidate()
 }
 
 // InvalidateProcessors drops only the named processors' memoized tables —
@@ -265,9 +262,7 @@ func (pl *Planner) InvalidateCache() {
 // returns to it.
 func (pl *Planner) InvalidateProcessors(procs ...int) {
 	pl.cache.invalidateProcessors(procs)
-	if pl.partMemo != nil {
-		pl.partMemo.dropTables(procs)
-	}
+	pl.partMemo.dropTables(procs)
 }
 
 // SoC returns the SoC the planner plans for — the object degradation

@@ -64,13 +64,22 @@ func Partition(p *profile.Profile) (pipeline.Cuts, float64, error) {
 // for cancellation between cell rows, so a long chain aborts promptly
 // without finishing its table.
 func PartitionContext(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
-	scr, best, _, err := partitionTable(ctx, p)
-	if err != nil {
+	n := p.NumLayers()
+	k := p.NumProcessors()
+	if n == 0 || k == 0 {
+		return nil, 0, ErrInfeasiblePartition
+	}
+	scr := dpRowsPool.Get().(*dpRows)
+	defer dpRowsPool.Put(scr)
+	scr.rows, scr.choice = resizeRow(scr.rows, k), resizeRow(scr.choice, k)
+	if _, err := fillPartitionRows(ctx, p, scr.rows, scr.choice, 0); err != nil {
 		return nil, 0, err
 	}
-	cuts, best, err := backtrackCuts(p, scr.choice, best)
-	putDPScratch(scr)
-	return cuts, best, err
+	best := scr.rows[k-1][n]
+	if math.IsInf(best, 1) {
+		return nil, 0, ErrInfeasiblePartition
+	}
+	return backtrackCuts(p, scr.choice, best)
 }
 
 // cancelCheckStride is how many DP cells are filled between cancellation
@@ -78,96 +87,59 @@ func PartitionContext(ctx context.Context, p *profile.Profile) (pipeline.Cuts, f
 // enough to keep ctx.Err out of the inner-loop cost.
 const cancelCheckStride = 64
 
-// dpScratch is the pooled scratch state of one Algorithm-1 DP: the two
-// rolling S* rows and the per-stage choice table. Every cell the DP reads
-// is written first on every run, so reused buffers need no zeroing; callers
-// return the scratch to the pool with putDPScratch once backtracking has
-// consumed the choice table.
-type dpScratch struct {
-	// dp[j+1] = S*(j, stage) for prefix ending at layer j; dp[0] = S*(∅).
-	dp, prev []float64
-	// choice[k][j+1] = the i chosen (start layer of stage k's slice; i=j+1
-	// encodes an empty slice).
+// dpRows is pooled storage for one Algorithm-1 table: every stage's S* row
+// and choice row. fillPartitionRows writes every cell it reads, so reused
+// rows need no zeroing.
+type dpRows struct {
+	rows   [][]float64
 	choice [][]int
 }
 
-var dpScratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
+var dpRowsPool = sync.Pool{New: func() any { return new(dpRows) }}
 
-// getDPScratch returns pooled scratch sized for an n-layer, k-stage DP.
-func getDPScratch(n, k int) *dpScratch {
-	s := dpScratchPool.Get().(*dpScratch)
-	if cap(s.dp) < n+1 {
-		s.dp = make([]float64, n+1)
-	} else {
-		s.dp = s.dp[:n+1]
-	}
-	if cap(s.prev) < n+1 {
-		s.prev = make([]float64, n+1)
-	} else {
-		s.prev = s.prev[:n+1]
-	}
-	if cap(s.choice) >= k {
-		s.choice = s.choice[:k]
-	} else {
-		old := s.choice[:cap(s.choice)]
-		s.choice = make([][]int, k)
-		copy(s.choice, old) // keep the rows' backing arrays for reuse
-	}
-	for i := range s.choice {
-		if cap(s.choice[i]) < n+1 {
-			s.choice[i] = make([]int, n+1)
-		} else {
-			s.choice[i] = s.choice[i][:n+1]
-		}
-	}
-	return s
-}
-
-func putDPScratch(s *dpScratch) { dpScratchPool.Put(s) }
-
-// partitionTable fills the DP and returns the scratch holding the per-stage
-// choice table, the optimal bottleneck, and the number of DP cells
-// evaluated (the observability figure behind Planner.DPCells — base row
-// plus every (stage, j) cell filled before completion or cancellation).
-// Ownership of the scratch transfers to the caller on success (release with
-// putDPScratch after backtracking); error returns recycle it internally.
-func partitionTable(ctx context.Context, p *profile.Profile) (*dpScratch, float64, uint64, error) {
+// fillPartitionRows fills DP rows [from, k): the stage-0 base row (prefix
+// [0..j] entirely on stage 0) when from is 0, then every later stage by
+// cellByScan over the previous row. Rows below from must already be
+// populated. A slot at or above from is reused when its capacity suffices
+// and allocated otherwise, so pooled callers fill in place while the
+// partition memo, passing nil slots, publishes fresh rows. Returns the DP
+// cells evaluated (the figure behind Planner.DPCells) — including those
+// filled before a cancellation.
+func fillPartitionRows(ctx context.Context, p *profile.Profile, rows [][]float64, choice [][]int, from int) (uint64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
-	if n == 0 || k == 0 {
-		return nil, 0, 0, ErrInfeasiblePartition
-	}
 	var cells uint64
-
-	scr := getDPScratch(n, k)
-	dp, prev, choice := scr.dp, scr.prev, scr.choice
-
-	// Stage 0 base: prefix [0..j] entirely on stage 0 (or empty).
-	prev[0] = 0
-	for j := 0; j < n; j++ {
-		prev[j+1] = sliceSeconds(p, 0, 0, j)
-		choice[0][j+1] = 0
-		cells++
+	for s := from; s < k; s++ {
+		rows[s] = resizeRow(rows[s], n+1)
+		choice[s] = resizeRow(choice[s], n+1)
 	}
-	choice[0][0] = 0
-
+	if from == 0 {
+		rows[0][0] = 0
+		choice[0][0] = 0
+		for j := 0; j < n; j++ {
+			rows[0][j+1] = sliceSeconds(p, 0, 0, j)
+			choice[0][j+1] = 0
+			cells++
+		}
+		from = 1
+	}
 	// One child span per DP stage row when tracing is armed. The nil check
 	// (not just StartChild's internal one) keeps the untraced path from
 	// allocating the attribute slice on every row.
 	rowParent := obs.SpanFromContext(ctx)
-	for stage := 1; stage < k; stage++ {
+	for stage := from; stage < k; stage++ {
 		var row *obs.Span
 		if rowParent != nil {
 			row = rowParent.StartChild("dp_row",
 				obs.Int("stage", int64(stage)), obs.Int("layers", int64(n)))
 		}
+		prev, dp := rows[stage-1], rows[stage]
 		dp[0] = prev[0] // empty prefix stays empty
 		choice[stage][0] = 0
 		for j := 0; j < n; j++ {
 			if j%cancelCheckStride == 0 && ctx.Err() != nil {
 				row.End()
-				putDPScratch(scr)
-				return nil, 0, cells, cancelErr(ctx)
+				return cells, cancelErr(ctx)
 			}
 			bestI, bestV := cellByScan(p, prev, stage, j)
 			dp[j+1] = bestV
@@ -175,14 +147,17 @@ func partitionTable(ctx context.Context, p *profile.Profile) (*dpScratch, float6
 			cells++
 		}
 		row.End()
-		dp, prev = prev, dp
 	}
-	best := prev[n]
-	if math.IsInf(best, 1) {
-		putDPScratch(scr)
-		return nil, 0, cells, ErrInfeasiblePartition
+	return cells, nil
+}
+
+// resizeRow returns r resized to n, allocating only when r lacks the
+// capacity (a table's slot list is resized the same way).
+func resizeRow[T any](r []T, n int) []T {
+	if cap(r) < n {
+		return make([]T, n)
 	}
-	return scr, best, cells, nil
+	return r[:n]
 }
 
 // cellByScan minimises max(prev[i], cost(i, j)) exactly, pruning on the

@@ -104,10 +104,7 @@ func optionsFingerprint(o Options) string {
 		// (or an InvalidateCache call).
 		est = fmt.Sprintf("%p", o.Estimator)
 	}
-	// Beam fields steer which candidates get priced, and so the plan bytes;
-	// IncrementalReplan is deliberately absent — the memoized DP is proven
-	// byte-identical to the from-scratch refill, so both settings produce
-	// (and may share) the same cached plans.
+	// Beam fields steer which candidates get priced, and so the plan bytes.
 	return fmt.Sprintf("q=%g;mit=%t;ws=%t;tail=%t;cont=%t;mem=%t;smem=%t;est=%s;bw=%d;beps=%g;dl=%s",
 		o.HighQuantile, o.Mitigation, o.WorkStealing, o.TailOptimization,
 		o.ExecOptions.Contention, o.ExecOptions.EnforceMemory, o.ExecOptions.SampleMemory, est,

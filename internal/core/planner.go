@@ -58,19 +58,6 @@ type Options struct {
 	// plan is byte-identical at every value (proven by the differential
 	// suite; see DESIGN.md §6).
 	Parallelism int
-	// IncrementalReplan, when true (the default via DefaultOptions), keeps a
-	// per-model memo of the Algorithm-1 DP state — every per-stage S* row,
-	// the choice tables and the backtracked cuts — and, after a degradation
-	// event touching processor set P, resumes each model's DP from
-	// stage min(P) instead of refilling the whole table: stage k's row reads
-	// only the cost tables of processors ≤ k and the previous row, so rows
-	// below the first affected processor are bit-identical and are reused
-	// verbatim (see DESIGN.md §14). Bus-only epochs (bandwidth squeezes)
-	// reuse entire partitions — solo tables are bus-independent. The output
-	// is byte-identical to a from-scratch replan at every event sequence
-	// (pinned by the differential suite), so the flag is deliberately absent
-	// from the plan-cache options fingerprint.
-	IncrementalReplan bool
 	// BeamWidth, when positive and below the candidate-ordering count, prunes
 	// the candidate sweep: every candidate is first priced by a cheap proxy
 	// (its DP-cut schedule executed as-is, no stealing or tail search), only
@@ -117,13 +104,12 @@ type Options struct {
 // DefaultOptions returns the full Hetero²Pipe configuration.
 func DefaultOptions() Options {
 	return Options{
-		HighQuantile:      0.5,
-		Mitigation:        true,
-		WorkStealing:      true,
-		TailOptimization:  true,
-		IncrementalReplan: true,
-		ExecOptions:       pipeline.DefaultOptions(),
-		Parallelism:       runtime.GOMAXPROCS(0),
+		HighQuantile:     0.5,
+		Mitigation:       true,
+		WorkStealing:     true,
+		TailOptimization: true,
+		ExecOptions:      pipeline.DefaultOptions(),
+		Parallelism:      runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -137,8 +123,8 @@ func NoCTOptions() Options {
 }
 
 // Planner plans multi-DNN pipelines for one SoC. It is safe for concurrent
-// use: all mutable state lives in the lock-guarded cost cache and atomic
-// counters.
+// use: all mutable state lives in the lock-guarded caches and memos and in
+// atomic counters.
 type Planner struct {
 	soc   *soc.SoC
 	opts  Options
@@ -149,10 +135,10 @@ type Planner struct {
 	// construction.
 	planCache *planCache
 	optsFP    string
-	// partMemo memoizes per-model Algorithm-1 DP state for incremental
-	// replanning; nil when Options.IncrementalReplan is off. lapMemo
-	// memoizes Algorithm-2 assignments by class-vector content (a pure
-	// function of its inputs, so it never invalidates).
+	// partMemo memoizes per-model Algorithm-1 DP state, so a replan after a
+	// degradation event resumes each DP below the first affected stage (see
+	// replan.go). lapMemo memoizes Algorithm-2 assignments by class-vector
+	// content (a pure function of its inputs, so it never invalidates).
 	partMemo *partitionMemo
 	lapMemo  *mitigationMemo
 
@@ -206,14 +192,12 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 		mFrontiers:    reg.Counter("planner_frontiers_total"),
 		mFrontierSize: reg.Histogram("planner_frontier_size", frontierSizeBuckets()),
 		mIncrReuse:    reg.Counter("planner_incremental_reuse_total"),
+		partMemo:      newPartitionMemo(),
+		lapMemo:       newMitigationMemo(),
 	}
 	if opts.PlanCache > 0 {
 		pl.planCache = newPlanCache(opts.PlanCache, reg)
 		pl.optsFP = optionsFingerprint(opts)
-	}
-	if opts.IncrementalReplan {
-		pl.partMemo = newPartitionMemo()
-		pl.lapMemo = newMitigationMemo()
 	}
 	return pl, nil
 }
@@ -221,28 +205,6 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 // DPCells reports the lifetime count of Algorithm-1 DP cells evaluated by
 // this planner — the planning-side work metric behind the run report.
 func (pl *Planner) DPCells() uint64 { return pl.dpCells.Load() }
-
-// partition runs the Algorithm-1 DP for one profile while accumulating the
-// evaluated-cell count into the planner's lifetime counter and registry. The
-// DP runs under a "partition" span whose children are the per-stage dp_row
-// spans partitionTable emits.
-func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
-	var sp *obs.Span
-	if obs.TracingEnabled(ctx) {
-		ctx, sp = obs.StartSpan(ctx, "partition", obs.Str("model", p.Model().Name))
-	}
-	scr, best, cells, err := partitionTable(ctx, p)
-	pl.dpCells.Add(cells)
-	pl.mDPCells.Add(cells)
-	sp.SetAttrs(obs.Int("dp_cells", int64(cells)))
-	sp.End()
-	if err != nil {
-		return nil, 0, err
-	}
-	cuts, best, err := backtrackCuts(p, scr.choice, best)
-	putDPScratch(scr)
-	return cuts, best, err
-}
 
 // workers resolves Options.Parallelism to a concrete pool size.
 func (pl *Planner) workers() int {
@@ -530,14 +492,7 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	cuts := make([]pipeline.Cuts, m)
 	makespans := make([]float64, m)
 	err := parallel.ForErr(pl.workers(), m, func(i int) error {
-		var c pipeline.Cuts
-		var best float64
-		var err error
-		if pl.partMemo != nil {
-			c, best, err = pl.partitionMemoized(ctx, profiles[i])
-		} else {
-			c, best, err = pl.partition(ctx, profiles[i])
-		}
+		c, best, err := pl.partition(ctx, profiles[i])
 		if err != nil {
 			return fmt.Errorf("core: partitioning %s: %w", profiles[i].Model().Name, err)
 		}
@@ -571,7 +526,7 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	if pl.opts.Mitigation {
 		base := len(candidates)
 		for _, cand := range candidates[:base] {
-			mitigated := pl.mitigate(permuteClasses(classes, cand), k)
+			mitigated := pl.lapMemo.mitigate(permuteClasses(classes, cand), k)
 			candidates = append(candidates, composeOrders(cand, mitigated))
 		}
 	}
@@ -725,13 +680,7 @@ func measuredIntensity(p *profile.Profile) float64 {
 // step to every candidate ordering so their search space strictly contains
 // the planner's.
 func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Schedule, error) {
-	return OptimizeTailParallel(sched, opts, 1)
-}
-
-// OptimizeTailParallel is OptimizeTail over a worker pool; see
-// OptimizeTailContext for the cancellable form it wraps.
-func OptimizeTailParallel(sched *pipeline.Schedule, opts pipeline.Options, workers int) (*pipeline.Schedule, error) {
-	return OptimizeTailContext(context.Background(), sched, opts, workers)
+	return OptimizeTailContext(context.Background(), sched, opts, 1)
 }
 
 // OptimizeTailContext runs the tail search over a worker pool under a

@@ -15,53 +15,44 @@ import (
 	"hetero2pipe/internal/profile"
 )
 
-// Incremental replanning (Options.IncrementalReplan). A degradation event
-// touching processor set P invalidates only the affected (model, processor)
-// cost tables; the cost cache already exploits that, but every replan still
-// refills each model's Algorithm-1 DP from row zero. The table here lifts
-// the same partial-invalidation granularity into the DP itself:
+// Incremental replanning. A degradation event touching processor set P
+// invalidates only the affected (model, processor) cost tables; the cost
+// cache already exploits that, and the partition memo here lifts the same
+// partial-invalidation granularity into the Algorithm-1 DP itself.
 //
 // The stage-k row S*(·, k) of the recurrence
 //
 //	S*(j, k) = min_i max{ S*(i-1, k-1), T_k^e(i, j) }
 //
-// reads only processor k's cost table and the stage-(k−1) row. Processors
-// are identified with stages in capability order, so every row below
-// min(P) is computed from cost tables the event did not touch — and since
-// the cost cache shares unaffected *profile.Table objects across
-// re-assembled profiles, those rows are bit-for-bit identical to what a
-// from-scratch refill would produce. The memo therefore keeps every
-// per-stage row plus the choice tables, and a replan resumes the DP at the
-// first affected stage, reusing the clean prefix verbatim. Bus-only epochs
-// (bandwidth squeezes) reuse whole partitions: solo tables are
-// bus-capacity independent.
-//
-// Two validity signals compose:
-//
-//   - the SoC epoch journal (soc.SoC.AffectedSince) maps the entry's epoch
-//     delta to the affected processor set, exactly the set the stream
-//     scheduler fed to InvalidateProcessors;
-//   - table identity: before reusing rows [0, resume) the memo verifies
-//     that each of those stages' *profile.Table pointers is unchanged. This
-//     is the authoritative guard — it also covers caller-built profiles
-//     that never went through the planner's cost cache, and journal
-//     eviction or manual BumpEpoch (both of which answer "unknown" and
-//     degrade to a full refill).
+// reads only processor k's cost table, the stage-(k−1) row and the SoC's
+// copy parameters. The memo keeps every per-stage row plus the choice
+// tables, and one validity rule decides how much of it a replan reuses:
+// stage s's row is reused only while the cost tables of every stage ≤ s
+// are the very objects it was computed against and the SoC's BumpEpoch
+// generation is unchanged. Table identity tracks events exactly — the cost
+// cache shares every unaffected *profile.Table across re-assembled
+// profiles and re-measures the affected ones — so a replan resumes the DP
+// at the first affected stage, min(P), and a bus-only event (a bandwidth
+// squeeze stales no solo table) reuses whole partitions. It also covers
+// caller-built profiles that never went through the cost cache. The
+// generation covers what no table captures: Profile.SliceTime reads the
+// copy bandwidth and latency live from the SoC, and an in-place
+// description change is announced by BumpEpoch.
 //
 // Entries are immutable once published: a resume allocates fresh rows for
 // the recomputed stages and shares the read-only prefix, so concurrent
 // planning fan-outs never observe a half-written table. The memo survives
-// InvalidateProcessors (that is its purpose — the journal reconciles),
-// which only releases the invalidated stages' table references, and is
-// dropped by InvalidateCache alongside everything else.
+// InvalidateProcessors (that is its purpose), which only releases the
+// invalidated stages' table references, and is dropped by InvalidateCache
+// alongside everything else.
 
 // partitionEntry is one model's memoized DP state.
 type partitionEntry struct {
 	// model is the structural identity guard behind the name-based key.
 	model *model.Model
-	// epoch is the SoC degradation epoch the last recomputed stage was
-	// filled at.
-	epoch uint64
+	// generation is the SoC's BumpEpoch generation the rows were filled
+	// under.
+	generation uint64
 	// tables[s] is the cost-table object stage s's row was computed
 	// against — the pointer-identity reuse guard. InvalidateProcessors
 	// clears the invalidated stages' slots (see dropTables).
@@ -71,8 +62,8 @@ type partitionEntry struct {
 	// choice[s][j+1] is the start layer stage s chose for prefix j.
 	choice [][]int
 	// cuts/best are the backtracked result; cuts is nil when best is +Inf
-	// (no feasible partition at this epoch — memoized so retries at the
-	// same epoch fail fast and recovery events resume instead of refilling).
+	// (no feasible partition on these tables — memoized so retries fail
+	// fast and recovery events resume instead of refilling).
 	cuts pipeline.Cuts
 	best float64
 }
@@ -130,39 +121,31 @@ func (pm *partitionMemo) invalidate() {
 	pm.mu.Unlock()
 }
 
-// resumeStage decides how much of a memo entry survives for profile p at
-// the planner's current epoch: stages [0, resume) are reusable. k is the
-// stage count; resume == k means the whole partition (rows, cuts, best) is
-// still valid.
-func (pl *Planner) resumeStage(e *partitionEntry, p *profile.Profile, k int) int {
-	resume := k
-	if e.epoch != pl.soc.Epoch() {
-		procs, _, ok := pl.soc.AffectedSince(e.epoch)
-		switch {
-		case !ok:
-			resume = 0 // unknown delta: assume everything moved
-		case len(procs) > 0:
-			resume = procs[0] // sorted ascending: first affected stage
-		}
-		// Bus-only delta: solo tables unaffected, resume stays k.
+// resumeStage decides how much of a memo entry survives for profile p:
+// stages [0, resume) are reusable, and resume == len(e.tables) means the
+// whole partition (rows, cuts, best) is still valid.
+func (e *partitionEntry) resumeStage(p *profile.Profile) int {
+	if e.generation != p.SoC().Generation() {
+		return 0
 	}
-	// Authoritative guard: stage s's row depends on the tables of stages
-	// ≤ s, so reuse requires pointer identity across the whole prefix.
-	for s := 0; s < resume; s++ {
-		if e.tables[s] != p.Table(s) {
+	// Stage s's row depends on the tables of stages ≤ s.
+	for s, t := range e.tables {
+		if t != p.Table(s) {
 			return s
 		}
 	}
-	return resume
+	return len(e.tables)
 }
 
-// partitionMemoized is Planner.partition with the DP memo: it reuses or
-// resumes the memoized table when the epoch journal and table identity
-// allow, and refills from scratch otherwise — byte-identical output either
-// way (the differential suite pins it). Runs under a "partition" span
-// carrying dp_cells and, when anything was reused, a resume_stage
-// attribute.
-func (pl *Planner) partitionMemoized(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
+// partition runs the Algorithm-1 DP for one profile through the memo: it
+// reuses the memoized partition, or resumes its table at the first stage
+// resumeStage rejects, and fills from stage zero when the model has no
+// usable entry — byte-identical to Partition either way (the differential
+// suite pins it). The evaluated cells accumulate into the planner's
+// lifetime counter and registry. Runs under a "partition" span carrying
+// dp_cells and, when anything was reused, a resume_stage attribute; its
+// children are the per-stage dp_row spans fillPartitionRows emits.
+func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
 	if n == 0 || k == 0 {
@@ -178,26 +161,18 @@ func (pl *Planner) partitionMemoized(ctx context.Context, p *profile.Profile) (p
 	resume := 0
 	if entry != nil && sameModel(entry.model, p.Model()) &&
 		len(entry.rows) == k && len(entry.tables) == k && len(entry.rows[0]) == n+1 {
-		resume = pl.resumeStage(entry, p, k)
+		resume = entry.resumeStage(p)
 	} else {
 		entry = nil
 	}
 
 	if entry != nil && resume == k {
-		// Whole partition reused: same-epoch repeat window, or a bus-only
-		// epoch delta. Zero DP cells evaluated.
+		// Whole partition reused: a repeat window, or an event that staled
+		// no table of this model. Zero DP cells evaluated.
 		pl.incrReuse.Add(1)
 		pl.mIncrReuse.Inc()
 		sp.SetAttrs(obs.Int("dp_cells", 0), obs.Int("resume_stage", int64(k)))
 		sp.End()
-		if entry.epoch != pl.soc.Epoch() {
-			// Re-anchor the entry so the next lookup's journal walk starts
-			// from the current epoch (the journal is bounded).
-			pl.partMemo.store(key, &partitionEntry{
-				model: entry.model, epoch: pl.soc.Epoch(), tables: entry.tables,
-				rows: entry.rows, choice: entry.choice, cuts: entry.cuts, best: entry.best,
-			})
-		}
 		if math.IsInf(entry.best, 1) {
 			return nil, 0, ErrInfeasiblePartition
 		}
@@ -230,7 +205,7 @@ func (pl *Planner) partitionMemoized(ctx context.Context, p *profile.Profile) (p
 		tables[s] = p.Table(s)
 	}
 	fresh := &partitionEntry{
-		model: p.Model(), epoch: pl.soc.Epoch(), tables: tables,
+		model: p.Model(), generation: p.SoC().Generation(), tables: tables,
 		rows: rows, choice: choice, best: rows[k-1][n],
 	}
 	if math.IsInf(fresh.best, 1) {
@@ -246,58 +221,8 @@ func (pl *Planner) partitionMemoized(ctx context.Context, p *profile.Profile) (p
 	return cuts, best, nil
 }
 
-// fillPartitionRows fills DP rows [from, k) of the row-retaining table —
-// the same recurrence, cell order, pruning and cancellation cadence as
-// partitionTable, but every stage's row is kept (the memo's raw material)
-// instead of rolling two buffers. Rows below from must already be
-// populated; rows at or above from are allocated here. Returns the DP
-// cells evaluated.
-func fillPartitionRows(ctx context.Context, p *profile.Profile, rows [][]float64, choice [][]int, from int) (uint64, error) {
-	n := p.NumLayers()
-	k := p.NumProcessors()
-	var cells uint64
-	for s := from; s < k; s++ {
-		rows[s] = make([]float64, n+1)
-		choice[s] = make([]int, n+1)
-	}
-	if from == 0 {
-		rows[0][0] = 0
-		choice[0][0] = 0
-		for j := 0; j < n; j++ {
-			rows[0][j+1] = sliceSeconds(p, 0, 0, j)
-			choice[0][j+1] = 0
-			cells++
-		}
-		from = 1
-	}
-	rowParent := obs.SpanFromContext(ctx)
-	for stage := from; stage < k; stage++ {
-		var row *obs.Span
-		if rowParent != nil {
-			row = rowParent.StartChild("dp_row",
-				obs.Int("stage", int64(stage)), obs.Int("layers", int64(n)))
-		}
-		prev, dp := rows[stage-1], rows[stage]
-		dp[0] = prev[0]
-		choice[stage][0] = 0
-		for j := 0; j < n; j++ {
-			if j%cancelCheckStride == 0 && ctx.Err() != nil {
-				row.End()
-				return cells, cancelErr(ctx)
-			}
-			bestI, bestV := cellByScan(p, prev, stage, j)
-			dp[j+1] = bestV
-			choice[stage][j+1] = bestI
-			cells++
-		}
-		row.End()
-	}
-	return cells, nil
-}
-
 // IncrementalReuse reports the lifetime count of partitions served from the
-// incremental-replanning memo — fully reused or resumed mid-table. Always
-// zero when Options.IncrementalReplan is off.
+// incremental-replanning memo — fully reused or resumed mid-table.
 func (pl *Planner) IncrementalReuse() uint64 { return pl.incrReuse.Load() }
 
 // mitigationMemo caches Algorithm-2 assignments by content: Mitigate is a
@@ -341,14 +266,4 @@ func (mm *mitigationMemo) mitigate(classes []contention.Class, k int) []int {
 	mm.m[key] = v
 	mm.mu.Unlock()
 	return v
-}
-
-// mitigate routes through the content memo when incremental replanning is
-// on. The returned permutation is shared and must not be mutated
-// (composeOrders only reads it).
-func (pl *Planner) mitigate(classes []contention.Class, k int) []int {
-	if pl.lapMemo == nil {
-		return Mitigate(classes, k)
-	}
-	return pl.lapMemo.mitigate(classes, k)
 }

@@ -5,18 +5,16 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"hetero2pipe/internal/model"
 	"hetero2pipe/internal/soc"
 )
 
-// newReplanPlanner builds a planner with incremental replanning forced to
-// the given setting.
-func newReplanPlanner(t testing.TB, s *soc.SoC, incremental bool) *Planner {
+// newReplanPlanner builds a default-options planner on s.
+func newReplanPlanner(t testing.TB, s *soc.SoC) *Planner {
 	t.Helper()
-	opts := DefaultOptions()
-	opts.IncrementalReplan = incremental
-	pl, err := NewPlanner(s, opts)
+	pl, err := NewPlanner(s, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +22,12 @@ func newReplanPlanner(t testing.TB, s *soc.SoC, incremental bool) *Planner {
 }
 
 // TestDifferentialIncrementalReplan fuzzes degradation event sequences
-// against two planners — incremental replanning on and off — over their own
-// identically-degraded SoC instances, and requires the plans to stay
-// byte-identical after every event. This is the incremental tentpole's core
-// soundness claim: resuming the partition DP from memoized prefix rows is
-// invisible in the output, window after window, event after event.
+// against one long-lived planner and, at every step, a freshly built planner
+// on an identically-degraded twin SoC — whose cold memo is a from-scratch
+// fill — and requires the plans to stay byte-identical after every event.
+// This is the partition memo's core soundness claim: resuming the DP from
+// memoized prefix rows is invisible in the output, window after window,
+// event after event.
 func TestDifferentialIncrementalReplan(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	windows := [][]string{
@@ -42,16 +41,15 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 	}
 	for wi, names := range windows {
 		models := mustModels(t, names...)
-		sIncr, sFull := soc.Kirin990(), soc.Kirin990()
-		plIncr := newReplanPlanner(t, sIncr, true)
-		plFull := newReplanPlanner(t, sFull, false)
+		sIncr, sTwin := soc.Kirin990(), soc.Kirin990()
+		plIncr := newReplanPlanner(t, sIncr)
 
 		comparePlan := func(step string) {
 			t.Helper()
 			pi, errI := plIncr.PlanModels(models)
-			pf, errF := plFull.PlanModels(models)
+			pf, errF := newReplanPlanner(t, sTwin).PlanModels(models)
 			if (errI == nil) != (errF == nil) {
-				t.Fatalf("window %d %s: incremental err %v vs full err %v", wi, step, errI, errF)
+				t.Fatalf("window %d %s: incremental err %v vs fresh err %v", wi, step, errI, errF)
 			}
 			if errI != nil {
 				if !errors.Is(errI, ErrInfeasiblePartition) {
@@ -60,7 +58,7 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 				return
 			}
 			if got, want := canonicalPlan(pi), canonicalPlan(pf); got != want {
-				t.Fatalf("window %d %s: incremental plan differs from from-scratch:\n--- incremental ---\n%s--- full ---\n%s",
+				t.Fatalf("window %d %s: incremental plan differs from a fresh planner's:\n--- incremental ---\n%s--- fresh ---\n%s",
 					wi, step, got, want)
 			}
 		}
@@ -79,7 +77,7 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			affF, err := sFull.Apply(ev)
+			affF, err := sTwin.Apply(ev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +85,6 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 				t.Fatalf("window %d round %d: affected sets diverged: %v vs %v", wi, round, affI, affF)
 			}
 			plIncr.InvalidateProcessors(affI...)
-			plFull.InvalidateProcessors(affF...)
 			comparePlan(fmt.Sprintf("round %d after %s", round, ev))
 		}
 		if plIncr.IncrementalReuse() == 0 {
@@ -128,7 +125,7 @@ func randomEvent(rng *rand.Rand, s *soc.SoC, offline map[string]bool) soc.Event 
 // second plan of the same window at the same epoch runs zero DP cells.
 func TestIncrementalReplanSameEpochFullReuse(t *testing.T) {
 	s := soc.Kirin990()
-	pl := newReplanPlanner(t, s, true)
+	pl := newReplanPlanner(t, s)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
 	if _, err := pl.PlanModels(models); err != nil {
 		t.Fatal(err)
@@ -150,7 +147,7 @@ func TestIncrementalReplanSameEpochFullReuse(t *testing.T) {
 // partition is reused with zero DP cells.
 func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	s := soc.Kirin990()
-	pl := newReplanPlanner(t, s, true)
+	pl := newReplanPlanner(t, s)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
 	if _, err := pl.PlanModels(models); err != nil {
 		t.Fatal(err)
@@ -174,7 +171,7 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	if _, err := s2.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := newReplanPlanner(t, s2, true).PlanModels(models)
+	fresh, err := newReplanPlanner(t, s2).PlanModels(models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +185,7 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 // fill — the prefix rows below the affected stage were reused.
 func TestIncrementalReplanResumesMidTable(t *testing.T) {
 	s := soc.Kirin990()
-	pl := newReplanPlanner(t, s, true)
+	pl := newReplanPlanner(t, s)
 	models := mustModels(t, model.ResNet50)
 	if _, err := pl.PlanModels(models); err != nil {
 		t.Fatal(err)
@@ -221,7 +218,7 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 	if _, err := s2.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: last, Factor: 1.7}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := newReplanPlanner(t, s2, false).PlanModels(models)
+	fresh, err := newReplanPlanner(t, s2).PlanModels(models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +227,12 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 	}
 }
 
-// TestIncrementalReplanSurvivesBumpEpoch pins the wildcard path: a manual
-// BumpEpoch makes the journal unanswerable, so the memo must degrade to a
-// full refill — never serve stale rows.
+// TestIncrementalReplanSurvivesBumpEpoch pins the documented reset: after a
+// manual BumpEpoch plus InvalidateCache the memo is gone, so the replan
+// refills — never serves stale rows.
 func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 	s := soc.Kirin990()
-	pl := newReplanPlanner(t, s, true)
+	pl := newReplanPlanner(t, s)
 	models := mustModels(t, model.SqueezeNet)
 	if _, err := pl.PlanModels(models); err != nil {
 		t.Fatal(err)
@@ -250,11 +247,92 @@ func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 	if pl.DPCells() == cells {
 		t.Error("plan after BumpEpoch+InvalidateCache reused the dropped memo")
 	}
-	fresh, err := newReplanPlanner(t, soc.Kirin990(), false).PlanModels(models)
+	fresh, err := newReplanPlanner(t, soc.Kirin990()).PlanModels(models)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canonicalPlan(plan) != canonicalPlan(fresh) {
 		t.Error("post-bump plan differs from a fresh planner's")
+	}
+}
+
+// TestIncrementalReplanResumesAfterLongHistory applies 200 state-changing
+// throttles to the last processor between two plans. Only that processor's
+// table changed, so however long the event history, the replan resumes at
+// its stage and refills fewer DP cells than the first fill.
+func TestIncrementalReplanResumesAfterLongHistory(t *testing.T) {
+	s := soc.Kirin990()
+	pl := newReplanPlanner(t, s)
+	models := mustModels(t, model.ResNet50)
+	if _, err := pl.PlanModels(models); err != nil {
+		t.Fatal(err)
+	}
+	fullCells := pl.DPCells()
+	last := s.Processors[len(s.Processors)-1].ID
+	for i := 0; i < 200; i++ {
+		affected, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: last, Factor: 1.5 + float64(i%2)/2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(affected) != 1 {
+			t.Fatalf("throttle %d: affected = %v, want one processor", i, affected)
+		}
+		pl.InvalidateProcessors(affected...)
+	}
+	plan, err := pl.PlanModels(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed := pl.DPCells() - fullCells; resumed == 0 || resumed >= fullCells {
+		t.Errorf("replan after 200 events ran %d DP cells, want 0 < cells < %d (prefix reuse)", resumed, fullCells)
+	}
+	s2 := soc.Kirin990()
+	if _, err := s2.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: last, Factor: 2}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := newReplanPlanner(t, s2).PlanModels(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonicalPlan(plan) != canonicalPlan(fresh) {
+		t.Error("resumed plan differs from a fresh planner's")
+	}
+}
+
+// TestIncrementalReplanGenerationGuard edits the SoC's copy parameters in
+// place and announces it with BumpEpoch alone, without InvalidateCache. The
+// cost tables survive untouched — Profile.SliceTime reads the copy terms
+// live — so only the generation guard stops the memo from serving rows
+// priced under the old copy costs: the replan must match a fresh planner on
+// an identically edited SoC.
+func TestIncrementalReplanGenerationGuard(t *testing.T) {
+	edit := func(s *soc.SoC) {
+		s.CopyBandwidthGBps /= 8
+		s.CopyLatency += 2 * time.Millisecond
+	}
+	s := soc.Kirin990()
+	pl := newReplanPlanner(t, s)
+	models := mustModels(t, model.YOLOv4, model.BERT, model.ResNet50)
+	before, err := pl.PlanModels(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(s)
+	s.BumpEpoch()
+	plan, err := pl.PlanModels(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := soc.Kirin990()
+	edit(s2)
+	fresh, err := newReplanPlanner(t, s2).PlanModels(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(fresh.HorizontalMakespans) == fmt.Sprint(before.HorizontalMakespans) {
+		t.Fatal("copy-parameter edit left the DP results unchanged; the test cannot tell stale rows apart")
+	}
+	if got, want := canonicalPlan(plan), canonicalPlan(fresh); got != want {
+		t.Errorf("replan after BumpEpoch differs from a fresh planner's:\n--- replan ---\n%s--- fresh ---\n%s", got, want)
 	}
 }

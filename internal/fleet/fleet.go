@@ -166,12 +166,10 @@ func (f *Fleet) RunContext(ctx context.Context, requests []stream.Request, execO
 	f.runMu.Lock()
 	defer f.runMu.Unlock()
 
-	n := len(requests)
-	for i := 1; i < n; i++ {
-		if requests[i].Arrival < requests[i-1].Arrival {
-			return nil, fmt.Errorf("fleet: requests not sorted by arrival at %d", i)
-		}
+	if err := stream.ValidateRequests(requests); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
+	n := len(requests)
 	nd := len(f.devices)
 	f.policy.Reset(f.devices)
 

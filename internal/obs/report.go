@@ -59,8 +59,7 @@ type PlannerReport struct {
 	PlanCacheMisses   uint64  `json:"plan_cache_misses"`
 	PlanCacheHitRatio float64 `json:"plan_cache_hit_ratio"`
 	// IncrementalReuse counts partition DPs served from the incremental
-	// replanning memo — fully reused or resumed mid-table (zero when
-	// incremental replanning is off).
+	// replanning memo — fully reused or resumed mid-table.
 	IncrementalReuse uint64 `json:"incremental_reuse,omitempty"`
 }
 

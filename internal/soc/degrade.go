@@ -198,8 +198,8 @@ func (ev Event) String() string {
 // An event that restates the current state (an online event for a processor
 // already in service, a throttle re-asserting the active factor, a bus
 // squeeze at the current derate) is a no-op: it stales nothing, returns no
-// indices and leaves the degradation epoch untouched, so incremental
-// consumers see nothing to redo. Every state-changing Apply bumps the epoch
+// indices and leaves the degradation epoch untouched, so epoch-keyed
+// consumers (the router's solo estimates) see nothing to redo. Every state-changing Apply bumps the epoch
 // — including bandwidth squeezes, which change the co-execution slowdown
 // model (and therefore the plan) even though no solo cost table goes stale.
 // The epoch only moves forward; StateKey is what returns to an earlier value
@@ -216,7 +216,6 @@ func (s *SoC) Apply(ev Event) ([]int, error) {
 		}
 		s.BusDerate = ev.Factor
 		s.epoch++
-		s.recordDelta(epochDelta{bus: true})
 		return nil, nil
 	}
 	idx := -1
@@ -253,7 +252,6 @@ func (s *SoC) Apply(ev Event) ([]int, error) {
 		p.Degrade.Offline = false
 	}
 	s.epoch++
-	s.recordDelta(epochDelta{procs: []int{idx}})
 	return []int{idx}, nil
 }
 

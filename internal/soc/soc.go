@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"hetero2pipe/internal/model"
@@ -253,111 +252,41 @@ type SoC struct {
 	// epoch is the monotonic degradation-epoch counter: every Apply that
 	// actually changes the SoC's runtime state (throttle, frequency,
 	// offline/online, bus squeeze) increments it, so state derived from the
-	// SoC along a run — the partition memo, the router's solo estimates —
-	// can carry the epoch as a cheap "nothing changed since" token. A no-op
-	// Apply (the event restates the current state) leaves the epoch
-	// untouched. Mutations that bypass Apply must call BumpEpoch
-	// themselves; reads and writes follow the same single-writer discipline
-	// as every other SoC field.
+	// SoC along a run — the router's solo estimates — can carry the epoch as
+	// a cheap "nothing changed since" token. A no-op Apply (the event
+	// restates the current state) leaves the epoch untouched. Mutations that
+	// bypass Apply must call BumpEpoch themselves; reads and writes follow the
+	// same single-writer discipline as every other SoC field.
 	epoch uint64
 	// generation counts BumpEpoch calls only: the description-change
-	// dimension of StateKey. Apply never advances it, so a runtime state
-	// the SoC returns to keeps its key.
+	// dimension of StateKey and the partition memo's validity guard. Apply
+	// never advances it, so a runtime state the SoC returns to keeps its key.
 	generation uint64
-	// journal is the bounded log of per-epoch deltas behind AffectedSince:
-	// entry i records what the epoch bump to journal[i].epoch changed. Apply
-	// appends the affected processor set (empty for bus squeezes); BumpEpoch
-	// appends a wildcard entry, because an in-place mutation's blast radius
-	// is unknown. Oldest entries are trimmed past epochJournalCap.
-	journal []epochDelta
-}
-
-// epochDelta is one journal record: the state the bump to epoch changed.
-type epochDelta struct {
-	epoch uint64
-	procs []int // affected processor indices; empty for bus-only deltas
-	bus   bool  // the shared-bus derate changed
-	wild  bool  // unknown delta (manual BumpEpoch)
-}
-
-// epochJournalCap bounds the journal. Deltas older than the cap make
-// AffectedSince answer "unknown", which degrades consumers to a full
-// recompute — correct, just slower — so the cap only needs to cover the
-// plausible staleness window of a memo entry between planning rounds.
-const epochJournalCap = 128
-
-// recordDelta appends one journal entry for the current (just bumped)
-// epoch, trimming the oldest past the cap.
-func (s *SoC) recordDelta(d epochDelta) {
-	d.epoch = s.epoch
-	s.journal = append(s.journal, d)
-	if len(s.journal) > epochJournalCap {
-		s.journal = s.journal[len(s.journal)-epochJournalCap:]
-	}
-}
-
-// AffectedSince reports what changed between the given epoch and the SoC's
-// current one: the union of affected processor indices (sorted, deduplicated)
-// and whether the shared-bus derate moved. ok is false when the answer is
-// unknown — the span predates the journal's retention window, crosses a
-// manual BumpEpoch (whose delta is unrecorded), or since lies in the future —
-// in which case callers must assume everything changed. since equal to the
-// current epoch returns (nil, false, true): nothing changed.
-func (s *SoC) AffectedSince(since uint64) (procs []int, busChanged bool, ok bool) {
-	if since == s.epoch {
-		return nil, false, true
-	}
-	if since > s.epoch {
-		return nil, false, false
-	}
-	// Every epoch in (since, current] must be covered by a journal entry;
-	// entries are appended per bump, so coverage means the oldest retained
-	// entry is at or below since+1.
-	if len(s.journal) == 0 || s.journal[0].epoch > since+1 {
-		return nil, false, false
-	}
-	seen := make(map[int]bool)
-	for _, d := range s.journal {
-		if d.epoch <= since {
-			continue
-		}
-		if d.wild {
-			return nil, false, false
-		}
-		if d.bus {
-			busChanged = true
-		}
-		for _, k := range d.procs {
-			if !seen[k] {
-				seen[k] = true
-				procs = append(procs, k)
-			}
-		}
-	}
-	sort.Ints(procs)
-	return procs, busChanged, true
 }
 
 // Epoch returns the SoC's degradation epoch — the monotonic counter of
 // state-changing Apply calls (plus manual BumpEpoch calls). Two reads
 // returning the same value bracket a span in which no degradation event
-// altered the SoC; together with AffectedSince it tells incremental
-// consumers what changed in between. It says nothing about whether two
-// distinct epochs are the same state — StateKey does.
+// altered the SoC. It says nothing about whether two distinct epochs are
+// the same state — StateKey does.
 func (s *SoC) Epoch() uint64 { return s.epoch }
+
+// Generation returns the number of BumpEpoch calls: it changes exactly
+// when the SoC description was mutated in place outside Apply. State
+// derived from description fields no cost table captures (the copy
+// bandwidth and latency Profile.SliceTime reads live) is valid only within
+// one generation.
+func (s *SoC) Generation() uint64 { return s.generation }
 
 // BumpEpoch advances the degradation epoch by hand — required after
 // mutating the SoC description in place without going through Apply
 // (frequency sweeps, thermal experiments). It also advances the
-// generation StateKey covers, so state-keyed caches cannot serve plans
-// computed against the pre-mutation description even when every
-// degradation field is unchanged. The journal records the bump as a
-// wildcard delta: AffectedSince answers "unknown" across it, so
-// incremental consumers conservatively recompute in full.
+// generation, so state-keyed caches cannot serve plans computed against
+// the pre-mutation description even when every degradation field is
+// unchanged, and the planner's partition memo refills from scratch.
 func (s *SoC) BumpEpoch() {
 	s.epoch++
 	s.generation++
-	s.recordDelta(epochDelta{wild: true})
 }
 
 // StateKey returns the SoC's runtime-state key: a 64-bit FNV-1a hash of

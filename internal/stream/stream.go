@@ -34,6 +34,25 @@ import (
 	"hetero2pipe/internal/soc"
 )
 
+// ErrInvalidRequest reports a request stream the scheduler cannot serve: a
+// request without a model, or arrivals out of order.
+var ErrInvalidRequest = errors.New("stream: invalid request")
+
+// ValidateRequests checks a request stream before any of it is routed or
+// planned: every request names a model and arrivals never decrease. The
+// error wraps ErrInvalidRequest.
+func ValidateRequests(requests []Request) error {
+	for i := range requests {
+		if requests[i].Model == nil {
+			return fmt.Errorf("%w: request %d has no model", ErrInvalidRequest, i)
+		}
+		if i > 0 && requests[i].Arrival < requests[i-1].Arrival {
+			return fmt.Errorf("%w: requests not sorted by arrival at %d", ErrInvalidRequest, i)
+		}
+	}
+	return nil
+}
+
 // Request is one arriving inference job.
 type Request struct {
 	// Model is the network to run.
@@ -173,7 +192,7 @@ type WindowStat struct {
 	CacheHits, CacheMisses, DPCells uint64
 	// IncrementalReuse is this window's delta of the planner's
 	// incremental-replanning memo counter: partition DPs served fully reused
-	// or resumed mid-table (zero when core.Options.IncrementalReplan is off).
+	// or resumed mid-table.
 	IncrementalReuse uint64
 	// PlanCacheHits and PlanCacheMisses are this window's deltas of the
 	// planner's whole-plan cache counters (core.Options.PlanCache); both
@@ -220,8 +239,7 @@ type Result struct {
 	// memoized plan with no partition/mitigation/steal/tail work at all.
 	PlanCacheHits, PlanCacheMisses uint64
 	// IncrementalReuse counts partition DPs this run served from the
-	// incremental-replanning memo — fully reused or resumed mid-table after
-	// a degradation event (zero when core.Options.IncrementalReplan is off).
+	// incremental-replanning memo — fully reused or resumed mid-table.
 	IncrementalReuse uint64
 	// Replans counts windows interrupted by a degradation event and
 	// replanned on the degraded SoC.
@@ -365,15 +383,13 @@ func (s *Scheduler) Run(requests []Request, execOpts pipeline.Options) (*Result,
 // inside the executor's clock loop, so a cancelled context aborts within
 // one planning window and returns an error wrapping ctx.Err().
 func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts pipeline.Options) (*Result, error) {
+	if err := ValidateRequests(requests); err != nil {
+		return nil, err
+	}
 	n := len(requests)
 	res := &Result{
 		Completions: make([]time.Duration, n),
 		Sojourns:    make([]time.Duration, n),
-	}
-	for i := 1; i < n; i++ {
-		if requests[i].Arrival < requests[i-1].Arrival {
-			return nil, fmt.Errorf("stream: requests not sorted by arrival at %d", i)
-		}
 	}
 	// The executor publishes into the stream's registry for the real window
 	// executions unless the caller wired its own; the planner's internal

@@ -187,16 +187,6 @@ func WithSLOBudget(class SLOClass, target float64) Option {
 	})
 }
 
-// WithIncrementalReplan toggles incremental replanning after degradation
-// events (on by default). When on, the planner memoizes each model's
-// partition-DP table and, after an event touching processor set P, resumes
-// the DP at the first affected stage instead of refilling from row zero —
-// byte-identical to planning from scratch (the differential suite pins it),
-// so this is purely a replan-latency knob. Off drops the memo entirely.
-func WithIncrementalReplan(on bool) Option {
-	return optionFunc(func(c *config) { c.planner.IncrementalReplan = on })
-}
-
 // WithBeam bounds the planner's candidate sweep to the width best candidates
 // under a cheap proxy pricing, then escalates until the winner is provably
 // within (1+epsilon)× of the exact sweep's makespan — the anytime/beam mode
