@@ -20,10 +20,13 @@ race:
 
 ## diff: the planner-equivalence suite — differential tests proving the
 ## parallel planning engine produces byte-identical plans to the sequential
-## planner, the 20-run determinism golden, and the cost-cache unit tests.
+## planner, the 20-run determinism golden, the recorded plan golden, the
+## per-plan executor memo (one simulation per distinct schedule), the
+## hoisted batch-latency search against a plain scan, and the cost-cache
+## unit tests.
 diff:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestPlanDeterminismGolden|TestCostCache|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
-		./internal/core/ ./internal/stream/ ./internal/baseline/
+	$(GO) test -race -count=1 -run 'TestDifferential|TestPlanDeterminismGolden|TestPlanGolden|TestExecMemo|TestPlanSimulatesEachScheduleOnce|TestPlanSpanExecAttrs|TestAlignmentBatchMatchesScan|TestCostCache|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
+		./internal/core/ ./internal/stream/ ./internal/baseline/ ./internal/soc/
 
 ## degrade: the degradation-runtime suite under the race detector — event
 ## injection, partial cache invalidation, replan/retry/backoff and

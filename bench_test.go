@@ -325,8 +325,8 @@ func benchStreamRequests(b *testing.B) []stream.Request {
 }
 
 // benchStreamRun drives b.N full runs of a 24-request burst (8 identical
-// 3-model windows) and reports the planner's wall time per window alongside
-// the usual per-run figures.
+// 3-model windows) and reports the planner's wall time and executor
+// simulations per window alongside the usual per-run figures.
 func benchStreamRun(b *testing.B, planCache int, events []soc.Event) {
 	opts := core.DefaultOptions()
 	opts.PlanCache = planCache
@@ -347,6 +347,7 @@ func benchStreamRun(b *testing.B, planCache int, events []soc.Event) {
 	b.ResetTimer()
 	var planWall time.Duration
 	windows := 0
+	evals0, _ := pl.ExecStats()
 	for i := 0; i < b.N; i++ {
 		res, err := sched.Run(reqs, pipeline.DefaultOptions())
 		if err != nil {
@@ -357,7 +358,9 @@ func benchStreamRun(b *testing.B, planCache int, events []soc.Event) {
 		}
 		windows += res.Windows
 	}
+	evals1, _ := pl.ExecStats()
 	b.ReportMetric(float64(planWall.Nanoseconds())/float64(windows), "plan-ns/window")
+	b.ReportMetric(float64(evals1-evals0)/float64(windows), "exec-calls/window")
 }
 
 // benchChurnEvents probes an event-free run for its makespan and spreads an

@@ -3,6 +3,7 @@ package hetero2pipe_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -188,5 +189,36 @@ func TestFacadeOptionsCompose(t *testing.T) {
 	}
 	if res.EventsApplied != 0 {
 		t.Errorf("explicit empty event list still applied %d events", res.EventsApplied)
+	}
+}
+
+// TestFacadeHugeThrottleNoOverflow applies finite but enormous throttle
+// factors: scaled layer times must saturate (the processor becomes
+// unusable) instead of wrapping time.Duration, so Run returns either a
+// non-negative finite latency or a typed error.
+func TestFacadeHugeThrottleNoOverflow(t *testing.T) {
+	for _, factor := range []float64{1e12, 1e300} {
+		for _, proc := range []string{"gpu", "cpu-big"} {
+			sys, err := hetero2pipe.NewSystem("Kirin990")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := hetero2pipe.Event{Kind: hetero2pipe.EventThermalThrottle, Processor: proc, Factor: factor}
+			if err := sys.ApplyEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run("ResNet50", "BERT")
+			if err != nil {
+				if !errors.Is(err, hetero2pipe.ErrNoProcessor) {
+					t.Errorf("throttle %s×%g: untyped error %v", proc, factor, err)
+				}
+				continue
+			}
+			if res.Latency <= 0 || res.Latency >= time.Duration(1<<63-1) ||
+				res.EnergyJoules < 0 || math.IsNaN(res.EnergyJoules) || math.IsInf(res.EnergyJoules, 0) {
+				t.Errorf("throttle %s×%g: latency %v energy %g, want non-negative finite",
+					proc, factor, res.Latency, res.EnergyJoules)
+			}
+		}
 	}
 }

@@ -46,6 +46,9 @@ func MuLayerLatency(s *soc.SoC, m *model.Model) (time.Duration, error) {
 		// Merge: the produced halves cross the unified memory once, plus
 		// the fixed synchronisation cost of a copy.
 		merge := s.CopyTime(l.OutputBytes)
+		if merge == soc.InfDuration {
+			return 0, fmt.Errorf("baseline: layer %s output copy exceeds the cost bound", l.Name)
+		}
 		total += combined + merge
 	}
 	total += cpu.LaunchOverhead + gpu.LaunchOverhead

@@ -68,10 +68,8 @@ func CoalesceLight(s *soc.SoC, requests []*model.Model, maxBatch int) []BatchGro
 	}
 	for _, bk := range buckets {
 		proto := requests[bk.idxs[0]]
-		batch := soc.AlignmentBatch(ref, proto, target, maxBatch)
-		if batch > len(bk.idxs) {
-			batch = len(bk.idxs)
-		}
+		// A batch never exceeds the bucket, so the search stops there.
+		batch := soc.AlignmentBatch(ref, proto, target, min(maxBatch, len(bk.idxs)))
 		for start := 0; start < len(bk.idxs); start += batch {
 			end := start + batch
 			if end > len(bk.idxs) {

@@ -103,7 +103,7 @@ func beamLowerBound(profiles []*profile.Profile) float64 {
 // proxyMakespan executes one candidate's DP-cut schedule as-is and returns
 // its makespan in seconds — +Inf when the schedule cannot assemble or run,
 // which deprioritises (but does not exclude) the candidate.
-func (pl *Planner) proxyMakespan(profiles []*profile.Profile, cuts []pipeline.Cuts, order []int) float64 {
+func (pl *Planner) proxyMakespan(memo *execMemo, profiles []*profile.Profile, cuts []pipeline.Cuts, order []int) float64 {
 	m := len(order)
 	ordP := make([]*profile.Profile, m)
 	ordC := make([]pipeline.Cuts, m)
@@ -115,7 +115,7 @@ func (pl *Planner) proxyMakespan(profiles []*profile.Profile, cuts []pipeline.Cu
 	if err != nil {
 		return math.Inf(1)
 	}
-	res, err := pipeline.Execute(sched, pl.opts.ExecOptions)
+	res, err := memo.execute(sched)
 	if err != nil {
 		return math.Inf(1)
 	}
@@ -130,7 +130,7 @@ func (pl *Planner) proxyMakespan(profiles []*profile.Profile, cuts []pipeline.Cu
 // is deterministic: the proxy pass, its (proxy, index) sort, the parallel
 // beam batch (merged in index order) and the escalation order are all
 // independent of scheduling and worker count.
-func (pl *Planner) beamCandidates(ctx context.Context, profiles []*profile.Profile, cuts []pipeline.Cuts,
+func (pl *Planner) beamCandidates(ctx context.Context, memo *execMemo, profiles []*profile.Profile, cuts []pipeline.Cuts,
 	classes []contention.Class, intensities, makespans []float64,
 	candidates [][]int, k int) ([]*Plan, []Objective, error) {
 	start := time.Now()
@@ -144,7 +144,7 @@ func (pl *Planner) beamCandidates(ctx context.Context, profiles []*profile.Profi
 		if ctx.Err() != nil {
 			return cancelErr(ctx)
 		}
-		proxy[ci] = pl.proxyMakespan(profiles, cuts, candidates[ci])
+		proxy[ci] = pl.proxyMakespan(memo, profiles, cuts, candidates[ci])
 		return nil
 	})
 	if err != nil {
@@ -171,7 +171,7 @@ func (pl *Planner) beamCandidates(ctx context.Context, profiles []*profile.Profi
 	objs := make([]Objective, nc)
 	evaluated := 0
 	evaluate := func(ci int) error {
-		plan, obj, err := pl.verticalPass(ctx, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
+		plan, obj, err := pl.verticalPass(ctx, memo, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
 		if err != nil {
 			return err
 		}
@@ -188,7 +188,7 @@ func (pl *Planner) beamCandidates(ctx context.Context, profiles []*profile.Profi
 			return cancelErr(ctx)
 		}
 		ci := order[bi]
-		plan, obj, err := pl.verticalPass(ctx, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
+		plan, obj, err := pl.verticalPass(ctx, memo, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
 		if err != nil {
 			return err
 		}

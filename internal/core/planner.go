@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -87,11 +88,14 @@ type Options struct {
 	// (planner_plan_seconds), plans completed (planner_plans_total), DP
 	// cells evaluated (planner_dp_cells_total), cost-cache traffic
 	// (planner_cache_{hits,misses}_total), incremental partition reuse
-	// (planner_incremental_reuse_total) and — when PlanCache is enabled —
-	// whole-plan cache traffic (planner_plan_cache_{hits,misses}_total).
+	// (planner_incremental_reuse_total), candidate simulations run and
+	// served from the per-plan executor memo
+	// (planner_exec_evaluations_total, planner_exec_memo_hits_total) and —
+	// when PlanCache is enabled — whole-plan cache traffic
+	// (planner_plan_cache_{hits,misses}_total).
 	// Nil disables the registry writes
-	// at negligible cost; the Planner-level counters (CacheStats, DPCells)
-	// are always live. Note ExecOptions.Metrics is deliberately separate:
+	// at negligible cost; the Planner-level counters (CacheStats, DPCells,
+	// ExecStats) are always live. Note ExecOptions.Metrics is deliberately separate:
 	// the planner leaves it nil so its internal candidate evaluations do
 	// not pollute executor metrics (see DESIGN.md §9).
 	Metrics *obs.Registry
@@ -147,6 +151,9 @@ type Planner struct {
 	// incrReuse counts partitions that reused memoized DP state — fully
 	// skipped or resumed mid-table — across the planner's lifetime.
 	incrReuse atomic.Uint64
+	// execEvals and execHits accumulate the per-plan executor memos'
+	// simulations run and calls served from a memo (see execmemo.go).
+	execEvals, execHits atomic.Uint64
 	// Registry handles, resolved once at construction (detached no-op
 	// instruments when Options.Metrics is nil).
 	mPlans        *obs.Counter
@@ -155,6 +162,8 @@ type Planner struct {
 	mFrontiers    *obs.Counter
 	mFrontierSize *obs.Histogram
 	mIncrReuse    *obs.Counter
+	mExecEvals    *obs.Counter
+	mExecHits     *obs.Counter
 }
 
 // frontierSizeBuckets bound the planner_frontier_size histogram: the
@@ -192,6 +201,8 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 		mFrontiers:    reg.Counter("planner_frontiers_total"),
 		mFrontierSize: reg.Histogram("planner_frontier_size", frontierSizeBuckets()),
 		mIncrReuse:    reg.Counter("planner_incremental_reuse_total"),
+		mExecEvals:    reg.Counter("planner_exec_evaluations_total"),
+		mExecHits:     reg.Counter("planner_exec_memo_hits_total"),
 		partMemo:      newPartitionMemo(),
 		lapMemo:       newMitigationMemo(),
 	}
@@ -205,6 +216,13 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 // DPCells reports the lifetime count of Algorithm-1 DP cells evaluated by
 // this planner — the planning-side work metric behind the run report.
 func (pl *Planner) DPCells() uint64 { return pl.dpCells.Load() }
+
+// ExecStats reports the lifetime count of candidate simulations the planner
+// ran and of candidate evaluations its per-plan executor memos served
+// without simulating.
+func (pl *Planner) ExecStats() (evals, hits uint64) {
+	return pl.execEvals.Load(), pl.execHits.Load()
+}
 
 // workers resolves Options.Parallelism to a concrete pool size.
 func (pl *Planner) workers() int {
@@ -486,12 +504,21 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	m := len(profiles)
 	k := pl.soc.NumProcessors()
 
-	// Step 1 — horizontal: Algorithm 1 per model, independently. The DPs
-	// share nothing, so they fan out across the worker pool; each writes
-	// only its own index.
+	// Step 1 — horizontal: Algorithm 1 per distinct profile, independently.
+	// The cost cache hands duplicate models in a window one shared Profile,
+	// so each distinct profile is partitioned once and its duplicates share
+	// the (read-only) cuts. The DPs share nothing, so they fan out across
+	// the worker pool; each writes only its own index.
 	cuts := make([]pipeline.Cuts, m)
 	makespans := make([]float64, m)
-	err := parallel.ForErr(pl.workers(), m, func(i int) error {
+	distinct := make([]int, 0, m)
+	for i, p := range profiles {
+		if !slices.Contains(profiles[:i], p) {
+			distinct = append(distinct, i)
+		}
+	}
+	err := parallel.ForErr(pl.workers(), len(distinct), func(di int) error {
+		i := distinct[di]
 		c, best, err := pl.partition(ctx, profiles[i])
 		if err != nil {
 			return fmt.Errorf("core: partitioning %s: %w", profiles[i].Model().Name, err)
@@ -502,6 +529,11 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	for i, p := range profiles {
+		if f := slices.Index(profiles, p); f != i {
+			cuts[i], makespans[i] = cuts[f], makespans[f]
+		}
 	}
 
 	// Contention intensities and H/L classes.
@@ -531,10 +563,29 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 		}
 	}
 
+	// Every schedule the sweep simulates goes through one executor memo,
+	// so each distinct schedule runs once per plan (see execmemo.go).
+	memo := newExecMemo(pl.opts.ExecOptions)
+	defer pl.publishExecStats(ctx, memo)
+
 	// Beam/anytime mode prunes the sweep with the provable regret bound
 	// (see beam.go); the exact sweep below prices every candidate.
 	if pl.beamActive(len(candidates)) {
-		return pl.beamCandidates(ctx, profiles, cuts, classes, intensities, makespans, candidates, k)
+		return pl.beamCandidates(ctx, memo, profiles, cuts, classes, intensities, makespans, candidates, k)
+	}
+
+	// Identical orderings (with m = 1 all six candidates are [0]) run one
+	// vertical pass: a repeat takes its first occurrence's plan and
+	// objective. The winner scan's strict < and the frontier's
+	// lowest-index tie-break both keep the first occurrence, so the result
+	// is unchanged, and the shared plan never surfaces twice.
+	firstCand := make([]int, len(candidates))
+	uniq := make([]int, 0, len(candidates))
+	for ci, cand := range candidates {
+		firstCand[ci] = slices.IndexFunc(candidates, func(c []int) bool { return slices.Equal(c, cand) })
+		if firstCand[ci] == ci {
+			uniq = append(uniq, ci)
+		}
 	}
 
 	// Every candidate's vertical pass is independent (each works on its own
@@ -543,11 +594,12 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	// candidate-index tie-breaks are byte-identical at every parallelism.
 	plans := make([]*Plan, len(candidates))
 	objs := make([]Objective, len(candidates))
-	err = parallel.ForErr(pl.workers(), len(candidates), func(ci int) error {
+	err = parallel.ForErr(pl.workers(), len(uniq), func(ui int) error {
 		if ctx.Err() != nil {
 			return cancelErr(ctx)
 		}
-		plan, obj, err := pl.verticalPass(ctx, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
+		ci := uniq[ui]
+		plan, obj, err := pl.verticalPass(ctx, memo, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
 		if err != nil {
 			return err
 		}
@@ -558,13 +610,30 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	if err != nil {
 		return nil, nil, err
 	}
+	for ci, f := range firstCand {
+		plans[ci], objs[ci] = plans[f], objs[f]
+	}
 	return plans, objs, nil
+}
+
+// publishExecStats adds one plan's executor-memo traffic to the planner's
+// lifetime counters and registry, and to the active plan span as the
+// exec_evals and exec_memo_hits attributes.
+func (pl *Planner) publishExecStats(ctx context.Context, memo *execMemo) {
+	evals, hits := memo.stats()
+	pl.execEvals.Add(uint64(evals))
+	pl.execHits.Add(uint64(hits))
+	pl.mExecEvals.Add(uint64(evals))
+	pl.mExecHits.Add(uint64(hits))
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		sp.SetAttrs(obs.Int("exec_evals", int64(evals)), obs.Int("exec_memo_hits", int64(hits)))
+	}
 }
 
 // verticalPass runs steps 2b (guarded work stealing) and 2c (tail local
 // search) for one candidate ordering and returns the plan plus its executed
 // objective vector (makespan, throughput, energy, peak memory).
-func (pl *Planner) verticalPass(ctx context.Context, profiles []*profile.Profile, cuts []pipeline.Cuts,
+func (pl *Planner) verticalPass(ctx context.Context, memo *execMemo, profiles []*profile.Profile, cuts []pipeline.Cuts,
 	classes []contention.Class, intensities, makespans []float64,
 	order []int, k int) (*Plan, Objective, error) {
 	m := len(order)
@@ -594,7 +663,7 @@ func (pl *Planner) verticalPass(ctx context.Context, profiles []*profile.Profile
 			copy(stolen[i], ordCuts[i])
 		}
 		WorkStealParallel(ordProfiles, stolen, k, pl.workers())
-		keep, err := pl.betterCuts(ordProfiles, ordCuts, stolen)
+		keep, err := pl.betterCuts(memo, ordProfiles, ordCuts, stolen)
 		if err != nil {
 			return nil, Objective{}, fmt.Errorf("core: work stealing: %w", err)
 		}
@@ -608,7 +677,7 @@ func (pl *Planner) verticalPass(ctx context.Context, profiles []*profile.Profile
 
 	// Step 2c — tail-bubble local search.
 	if pl.opts.TailOptimization {
-		sched, err = OptimizeTailContext(ctx, sched, pl.opts.ExecOptions, pl.workers())
+		sched, err = optimizeTail(ctx, memo.execute, sched, pl.workers())
 		if err != nil {
 			return nil, Objective{}, fmt.Errorf("core: tail optimisation: %w", err)
 		}
@@ -617,7 +686,7 @@ func (pl *Planner) verticalPass(ctx context.Context, profiles []*profile.Profile
 		}
 	}
 
-	res, err := pipeline.Execute(sched, pl.opts.ExecOptions)
+	res, err := memo.execute(sched)
 	if err != nil {
 		return nil, Objective{}, fmt.Errorf("core: evaluating candidate order: %w", err)
 	}
@@ -693,12 +762,22 @@ func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Sc
 // independent because a variant differs from the incumbent only in the
 // request's own stage row, which each candidate overwrites wholesale.
 func OptimizeTailContext(ctx context.Context, sched *pipeline.Schedule, opts pipeline.Options, workers int) (*pipeline.Schedule, error) {
+	return optimizeTail(ctx, func(s *pipeline.Schedule) (*pipeline.Result, error) {
+		return pipeline.Execute(s, opts)
+	}, sched, workers)
+}
+
+// optimizeTail is the tail search pricing every schedule through execute:
+// the planner passes its per-plan executor memo, so schedules the vertical
+// pass has already priced are not simulated again.
+func optimizeTail(ctx context.Context, execute func(*pipeline.Schedule) (*pipeline.Result, error),
+	sched *pipeline.Schedule, workers int) (*pipeline.Schedule, error) {
 	m := sched.NumRequests()
 	k := sched.NumStages()
 	if m == 0 {
 		return sched, nil
 	}
-	base, err := pipeline.Execute(sched, opts)
+	base, err := execute(sched)
 	if err != nil {
 		return nil, err
 	}
@@ -717,9 +796,15 @@ func OptimizeTailContext(ctx context.Context, sched *pipeline.Schedule, opts pip
 			if !sched.Profiles[i].Table(proc).Supported(0, n-1) {
 				return
 			}
+			row := pipeline.SingleProcessor(n, proc, k).RangesOf()
+			if slices.Equal(incumbent.Stages[i], row) {
+				// The variant is the incumbent itself: its makespan equals
+				// bestSpan, so it can never strictly improve.
+				return
+			}
 			cand := incumbent.Clone()
-			cand.Stages[i] = pipeline.SingleProcessor(n, proc, k).RangesOf()
-			res, err := pipeline.Execute(cand, opts)
+			cand.Stages[i] = row
+			res, err := execute(cand)
 			if err != nil {
 				return // infeasible variant; keep searching
 			}
@@ -786,12 +871,12 @@ func composeOrders(base, rel []int) []int {
 }
 
 // betterCuts returns whichever cut set executes faster for the fixed order.
-func (pl *Planner) betterCuts(profiles []*profile.Profile, a, b []pipeline.Cuts) ([]pipeline.Cuts, error) {
+func (pl *Planner) betterCuts(memo *execMemo, profiles []*profile.Profile, a, b []pipeline.Cuts) ([]pipeline.Cuts, error) {
 	schedA, err := pipeline.FromCuts(pl.soc, profiles, a)
 	if err != nil {
 		return nil, err
 	}
-	resA, err := pipeline.Execute(schedA, pl.opts.ExecOptions)
+	resA, err := memo.execute(schedA)
 	if err != nil {
 		return nil, err
 	}
@@ -801,7 +886,7 @@ func (pl *Planner) betterCuts(profiles []*profile.Profile, a, b []pipeline.Cuts)
 		// only through a bug; fall back to the originals defensively.
 		return a, nil
 	}
-	resB, err := pipeline.Execute(schedB, pl.opts.ExecOptions)
+	resB, err := memo.execute(schedB)
 	if err != nil {
 		return a, nil
 	}

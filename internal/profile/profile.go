@@ -218,7 +218,11 @@ func (p *Profile) SliceTime(k, i, j int) time.Duration {
 	if e == soc.InfDuration {
 		return soc.InfDuration
 	}
-	return e + p.CopyInTime(i) + p.tables[k].proc.LaunchOverhead
+	c := p.CopyInTime(i)
+	if c == soc.InfDuration {
+		return soc.InfDuration
+	}
+	return e + c + p.tables[k].proc.LaunchOverhead
 }
 
 // LayerTime returns the solo time of a single layer on processor k.

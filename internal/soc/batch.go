@@ -21,20 +21,33 @@ func BatchLatency(p *Processor, m *model.Model, batch int) time.Duration {
 	if batch < 1 {
 		batch = 1
 	}
-	perSample := time.Duration(0)
+	perSample, fixed := batchParts(p, m)
+	return batchLatencyOf(p, perSample, fixed, batch)
+}
+
+// batchParts returns the batch-size-independent terms of BatchLatency: the
+// summed per-sample layer time (InfDuration if any layer is unsupported)
+// and the fixed launch-plus-weight-load cost.
+func batchParts(p *Processor, m *model.Model) (perSample, fixed time.Duration) {
 	for _, l := range m.Layers {
 		t := p.LayerTime(l)
 		if t == InfDuration {
-			return InfDuration
+			return InfDuration, 0
 		}
 		perSample += t
 	}
 	// Weight-load time: streaming the parameter set into caches/buffers.
 	loadSec := float64(m.TotalWeightBytes()) / (p.SoloBandwidthGBps * 1e9)
-	fixed := p.LaunchOverhead + time.Duration(loadSec*float64(time.Second))
+	fixed = p.LaunchOverhead + time.Duration(loadSec*float64(time.Second))
+	return perSample, fixed
+}
 
-	scale := batchScale(p, batch)
-	return fixed + time.Duration(float64(perSample)*scale)
+// batchLatencyOf combines batchParts's terms for one batch size (≥ 1).
+func batchLatencyOf(p *Processor, perSample, fixed time.Duration, batch int) time.Duration {
+	if perSample == InfDuration {
+		return InfDuration
+	}
+	return fixed + time.Duration(float64(perSample)*batchScale(p, batch))
 }
 
 // batchScale returns the effective multiple of per-sample time for a batch.
@@ -71,8 +84,9 @@ func AlignmentBatch(p *Processor, light *model.Model, target time.Duration, maxB
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
+	perSample, fixed := batchParts(p, light)
 	for n := 1; n <= maxBatch; n++ {
-		if BatchLatency(p, light, n) >= target {
+		if batchLatencyOf(p, perSample, fixed, n) >= target {
 			return n
 		}
 	}

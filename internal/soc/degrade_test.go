@@ -295,3 +295,25 @@ func TestParseEvents(t *testing.T) {
 		t.Error("String grammar drifted")
 	}
 }
+
+// TestScaledDurationsSaturate pins the overflow guard: a finite but absurd
+// throttle makes every layer InfDuration (unusable) instead of wrapping
+// time.Duration negative, and so does a copy over a near-zero bandwidth.
+func TestScaledDurationsSaturate(t *testing.T) {
+	s := Kirin990()
+	l := model.MustByName(model.ResNet50).Layers[0]
+	for _, f := range []float64{1e12, 1e300} {
+		p := s.Processors[0]
+		p.Degrade.ThrottleFactor = f
+		if got := p.LayerTime(l); got != InfDuration {
+			t.Errorf("throttle %g: LayerTime = %v, want InfDuration", f, got)
+		}
+	}
+	if got := s.Processors[0].LayerTime(l); got <= 0 || got >= maxScaledDuration {
+		t.Errorf("nominal LayerTime = %v, want a finite positive duration", got)
+	}
+	s.CopyBandwidthGBps = 1e-300
+	if got := s.CopyTime(1 << 20); got != InfDuration {
+		t.Errorf("CopyTime over a 1e-300 GB/s link = %v, want InfDuration", got)
+	}
+}

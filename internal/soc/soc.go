@@ -130,7 +130,9 @@ func (p *Processor) efficiency(kind model.OpKind) float64 {
 // behaviour of Fig. 1; callers that want Band-style fallback must detect the
 // unsupported layers first. An offline processor (degradation events)
 // likewise returns +Inf for every layer, so freshly measured cost tables
-// route all work to the surviving processors.
+// route all work to the surviving processors. So does a layer that would
+// take longer than maxScaledDuration (a processor throttled by an absurd but
+// finite factor): the result never wraps time.Duration.
 func (p *Processor) LayerTime(l model.Layer) time.Duration {
 	if p.Degrade.Offline || !p.Supports(l.Kind) {
 		return InfDuration
@@ -148,7 +150,7 @@ func (p *Processor) LayerTime(l model.Layer) time.Duration {
 	}
 	sec *= p.Thermal.SteadyStateFactor()
 	sec *= p.Degrade.LatencyFactor()
-	return time.Duration(sec * float64(time.Second))
+	return secondsToDuration(sec)
 }
 
 // BusTrafficBytes returns the bytes of shared-bus traffic one execution of
@@ -220,6 +222,24 @@ const (
 
 // InfDuration marks an impossible execution (unsupported operator).
 const InfDuration = time.Duration(1<<63 - 1)
+
+// maxScaledDuration bounds every duration the soc layer derives by scaling
+// a physical quantity (layer time, copy time): anything longer saturates to
+// InfDuration. An hour per layer or copy is far beyond any real mobile
+// kernel, and millions of such terms still sum without overflowing
+// time.Duration, so the profile prefix sums and the executor's clock stay
+// finite whatever finite factor an event applies.
+const maxScaledDuration = time.Hour
+
+// secondsToDuration converts a non-negative cost in seconds, saturating to
+// InfDuration beyond maxScaledDuration (and for NaN or +Inf).
+func secondsToDuration(sec float64) time.Duration {
+	ns := sec * float64(time.Second)
+	if !(ns <= float64(maxScaledDuration)) {
+		return InfDuration
+	}
+	return time.Duration(ns)
+}
 
 // SoC is a system-on-chip: an ordered processor set sharing one memory bus.
 type SoC struct {
@@ -359,13 +379,18 @@ func (s *SoC) HasNPU() bool { return len(s.ProcessorsOfKind(KindNPU)) > 0 }
 
 // CopyTime returns the tensor-copy cost of moving b bytes between two
 // processors' address spaces (T^c of Eq. 2). Copies between a processor and
-// itself are free.
+// itself are free. A copy longer than maxScaledDuration saturates to
+// InfDuration.
 func (s *SoC) CopyTime(bytes int64) time.Duration {
 	if bytes <= 0 {
 		return 0
 	}
 	sec := float64(bytes) / (s.CopyBandwidthGBps * 1e9)
-	return s.CopyLatency + time.Duration(sec*float64(time.Second))
+	d := secondsToDuration(sec)
+	if d == InfDuration || s.CopyLatency > maxScaledDuration-d {
+		return InfDuration
+	}
+	return s.CopyLatency + d
 }
 
 // Validate reports the first configuration problem, or nil.
